@@ -1,11 +1,16 @@
 // Google-benchmark micro-benchmarks for the core operations: distance-pdf
 // folding, subregion-table construction, verifier passes, exact
-// integration, R-tree filtering and Monte-Carlo sampling.
+// integration, R-tree filtering (k = 1 and k-NN), the C-PkNN integration
+// and Monte-Carlo sampling.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/basic.h"
 #include "core/framework.h"
+#include "core/knn.h"
 #include "core/monte_carlo.h"
 #include "core/query.h"
 #include "core/refine.h"
@@ -149,6 +154,71 @@ void BM_EndToEndVR(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EndToEndVR);
+
+// --- k-NN (k = 4) on the LongBeach-like dataset ---------------------------
+
+constexpr int kKnnK = 4;
+
+// Query points of the golden-ratio sequence over the domain (the same
+// spread of locations for every row and every run).
+std::vector<double> KnnProbePoints(size_t count) {
+  std::vector<double> qs(count);
+  for (size_t i = 0; i < count; ++i) {
+    qs[i] = std::fmod(0.5 + 0.6180339887498949 * static_cast<double>(i),
+                      1.0) * 10000.0;
+  }
+  return qs;
+}
+
+const Dataset& LongBeach() {
+  static const Dataset data = datagen::MakeLongBeachLike();
+  return data;
+}
+
+// The reference linear scan the k-NN filter used before the R-tree.
+void BM_FilterKByScan(benchmark::State& state) {
+  const std::vector<double> qs = KnnProbePoints(64);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        FilterKByScan(LongBeach(), qs[i++ % qs.size()], kKnnK));
+  }
+}
+BENCHMARK(BM_FilterKByScan);
+
+// Best-first k-th-far-point search plus the ball query on the R-tree.
+void BM_FilterKTree(benchmark::State& state) {
+  const PnnFilter filter(LongBeach());
+  const std::vector<double> qs = KnnProbePoints(64);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(filter.FilterK(qs[i++ % qs.size()], kKnnK));
+  }
+}
+BENCHMARK(BM_FilterKTree);
+
+// The C-PkNN integration alone (P = 0.3, Δ = 0.01, GL-16) over prebuilt
+// candidate sets of 16 probe points (mean |C| ≈ 115), with a reused
+// workspace as an engine worker has.
+void BM_EvaluateCknn(benchmark::State& state) {
+  const PnnFilter filter(LongBeach());
+  std::vector<CandidateSet> sets;
+  double total = 0.0;
+  for (double q : KnnProbePoints(16)) {
+    sets.push_back(CandidateSet::Build1D(
+        LongBeach(), filter.FilterK(q, kKnnK).candidates, q, kKnnK));
+    total += static_cast<double>(sets.back().size());
+  }
+  const CpnnParams params{0.3, 0.01};
+  KnnWorkspace workspace;
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(EvaluateCknn(sets[i++ % sets.size()], kKnnK,
+                                          params, {}, &workspace));
+  }
+  state.counters["mean_candidates"] = total / sets.size();
+}
+BENCHMARK(BM_EvaluateCknn)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pverify

@@ -15,6 +15,20 @@
 
 namespace pverify {
 
+/// Nodes on [-1, 1] and matching weights of one Gauss-Legendre rule.
+struct GaussLegendreRule {
+  const double* nodes;    // ascending, symmetric
+  const double* weights;
+  int n;
+};
+
+/// The rule GaussLegendre applies for `points` (same rounding-up). Lets
+/// callers that evaluate an integrand at many segments' nodes at once
+/// reproduce GaussLegendre's arithmetic exactly: node x_j = mid + half·t_j
+/// with mid = 0.5·(a + b), half = 0.5·(b − a), and the result
+/// (Σ_j w_j·f(x_j)) · half summed in node order.
+GaussLegendreRule GaussLegendreNodes(int points);
+
 /// Fixed-order Gauss-Legendre quadrature on [a, b].
 /// Supported orders: 2, 4, 8, 16 (other values round up to the next
 /// supported order, capping at 16).

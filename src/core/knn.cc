@@ -7,67 +7,354 @@
 #include "common/piecewise.h"
 #include "core/cdf_batch.h"
 #include "core/classifier.h"
-#include "core/simd.h"
 
 namespace pverify {
 namespace {
 
-// P[at most `limit` of the candidates k≠i have R_k <= r]: Poisson-binomial
-// tail via the truncated DP over success probabilities D_k(r). `gather`
-// must hold |C| doubles; when the SIMD kernels are enabled the D_k(r) are
-// batched into it up front (same Cdf calls in the same order, so the DP
-// consumes bit-identical probabilities either way), which keeps the DP
-// recurrence on a contiguous row instead of striding through candidates.
-double AtMostBelow(const CandidateSet& cands, size_t i, double r, int limit,
-                   double* gather) {
-  // dp[t] = probability that exactly t of the processed objects are below r,
-  // truncated at limit+1 states (anything beyond limit is absorbed/dropped).
-  std::vector<double> dp(static_cast<size_t>(limit) + 1, 0.0);
-  dp[0] = 1.0;
-  const bool batched = SimdKernelsEnabled();
-  if (batched) CdfAcrossCandidates(cands, r, gather);
-  for (size_t k = 0; k < cands.size(); ++k) {
-    if (k == i) continue;
-    const double p = batched ? gather[k] : cands[k].dist.Cdf(r);
-    if (p <= 0.0) continue;
-    for (int t = limit; t >= 1; --t) {
-      dp[t] = dp[t] * (1.0 - p) + dp[t - 1] * p;
+// The Poisson-binomial DP runs for all G quadrature nodes of a piece at
+// once: lane j of state row t, dp[t·G + j], is P[exactly t of the folded
+// candidates are below node j], truncated at t <= limit. Each lane performs
+// exactly the per-node recurrence, in the same candidate order (lanes never
+// mix), so vectorizing across lanes changes no bit.
+
+// Folds one more candidate, below node j with probability p[j], into every
+// lane. A lane with p[j] <= 0 keeps its state: the per-node DP skips such
+// candidates.
+template <size_t G>
+inline void FoldIn(double* dp, int limit, const double* __restrict p) {
+  for (int t = limit; t >= 1; --t) {
+    double* __restrict row = dp + static_cast<size_t>(t) * G;
+    const double* __restrict below = row - G;
+    for (size_t j = 0; j < G; ++j) {
+      const double v = row[j] * (1.0 - p[j]) + below[j] * p[j];
+      row[j] = p[j] <= 0.0 ? row[j] : v;
     }
-    dp[0] *= 1.0 - p;
   }
-  double sum = 0.0;
-  for (double v : dp) sum += v;
-  return std::min(1.0, sum);
+  for (size_t j = 0; j < G; ++j) {
+    const double v = dp[j] * (1.0 - p[j]);
+    dp[j] = p[j] <= 0.0 ? dp[j] : v;
+  }
 }
 
-std::vector<double> GlobalBreakpoints(const CandidateSet& candidates) {
-  std::vector<double> breaks;
-  for (const Candidate& c : candidates.items()) {
-    breaks.insert(breaks.end(), c.dist.breakpoints().begin(),
-                  c.dist.breakpoints().end());
-  }
-  return SortedUnique(std::move(breaks), 1e-12);
+// Quadrature nodes of [lo, hi] under `rule`, exactly as GaussLegendre
+// places them; returns half the width.
+double PlaceNodes(const GaussLegendreRule& rule, double lo, double hi,
+                  double* nodes) {
+  const double mid = 0.5 * (lo + hi);
+  const double half = 0.5 * (hi - lo);
+  for (int j = 0; j < rule.n; ++j) nodes[j] = mid + half * rule.nodes[j];
+  return half;
 }
 
-double ExactKnnProbability(const CandidateSet& candidates, size_t i, int k,
-                           double fk, const std::vector<double>& breaks,
-                           const IntegrationOptions& options) {
-  const Candidate& cand = candidates[i];
-  const double a = cand.dist.near();
-  const double b = std::min(cand.dist.far(), fk);
-  if (b <= a) return 0.0;  // certainly beyond the k-th far point
-  std::vector<double> gather(candidates.size());  // cdf gather scratch
-  auto f = [&candidates, i, k, &gather](double r) {
-    double d = candidates[i].dist.Density(r);
-    if (d == 0.0) return 0.0;
-    return d * AtMostBelow(candidates, i, r, k - 1, gather.data());
-  };
-  return std::clamp(
-      IntegrateWithBreakpoints(f, a, b, breaks, options.gauss_points), 0.0,
-      1.0);
+// The one k-NN integrator behind EvaluateCknn (params != nullptr:
+// RS-bound pruning, classification after every piece, early stop) and
+// ComputeKnnProbabilities (params == nullptr: every candidate integrated
+// to completion), for a G-node Gauss-Legendre rule. See the header for the
+// sweep and why it reproduces per-candidate evaluation bit for bit.
+template <size_t G>
+class KnnSweep {
+ public:
+  KnnSweep(const CandidateSet& cands, int k, const GaussLegendreRule& rule,
+           const CpnnParams* params, KnnWorkspace& ws)
+      : cands_(cands),
+        n_(cands.size()),
+        limit_(k - 1),
+        states_(static_cast<size_t>(k)),
+        rule_(rule),
+        params_(params),
+        ws_(ws) {
+    ws_.breaks.clear();
+    for (const Candidate& c : cands_.items()) {
+      ws_.breaks.insert(ws_.breaks.end(), c.dist.breakpoints().begin(),
+                        c.dist.breakpoints().end());
+    }
+    SortedUniqueInPlace(ws_.breaks, 1e-12);
+    ws_.tracks.assign(n_, KnnWorkspace::Track{});
+    ws_.labels.assign(n_, Label::kUnknown);
+    ws_.live.clear();
+    ws_.dp.resize(states_ * G);
+    sorted_ = std::is_sorted(
+        cands_.items().begin(), cands_.items().end(),
+        [](const Candidate& x, const Candidate& y) {
+          return x.dist.near() < y.dist.near();
+        });
+  }
+
+  // EvaluateCknn: bounds start at [0, 1] and receive the RS upper bounds.
+  void Evaluate(double fk, const std::vector<double>& ub, CknnAnswer* out) {
+    answer_ = out;
+    for (size_t i = 0; i < n_; ++i) {
+      ProbabilityBound& bound = out->bounds[i];
+      bound.Tighten(0.0, ub[i]);
+      // RS-style verification: reject without integration when even the
+      // upper bound misses the threshold.
+      if (Classify(bound, *params_) == Label::kFail) {
+        ++out->pruned_by_bound;
+        ws_.labels[i] = Label::kFail;
+        continue;
+      }
+      Start(i, fk);
+      // The cap subtracts from P(R_i <= b), which does not change across
+      // pieces — evaluate it once per candidate.
+      ws_.tracks[i].cdf_b = cands_[i].dist.Cdf(ws_.tracks[i].b);
+      if (ws_.tracks[i].b <= ws_.tracks[i].a) {
+        Decide(i);  // nothing to integrate: the bound decides as it is
+      } else {
+        ws_.live.push_back(i);
+      }
+    }
+    Sweep();
+    for (size_t i = 0; i < n_; ++i) {
+      if (ws_.labels[i] == Label::kSatisfy) out->ids.push_back(cands_[i].id);
+    }
+  }
+
+  // ComputeKnnProbabilities: probs[i] receives the clamped full integral.
+  void Integrate(double fk, std::vector<double>* probs) {
+    probs_ = probs;
+    for (size_t i = 0; i < n_; ++i) {
+      Start(i, fk);
+      // Certainly beyond the k-th far point: probability 0.
+      if (ws_.tracks[i].b > ws_.tracks[i].a) ws_.live.push_back(i);
+    }
+    Sweep();
+  }
+
+ private:
+  void Start(size_t i, double fk) {
+    KnnWorkspace::Track& t = ws_.tracks[i];
+    t.a = cands_[i].dist.near();
+    t.b = std::min(cands_[i].dist.far(), fk);
+    t.prev = t.a;
+    t.cursor = static_cast<size_t>(
+        std::upper_bound(ws_.breaks.begin(), ws_.breaks.end(), t.a) -
+        ws_.breaks.begin());
+  }
+
+  // End of candidate i's current piece; *done when it is the last piece.
+  double PieceEnd(const KnnWorkspace::Track& t, bool* done) const {
+    *done = !(t.cursor < ws_.breaks.size() && ws_.breaks[t.cursor] < t.b);
+    return *done ? t.b : ws_.breaks[t.cursor];
+  }
+
+  // Candidates whose cdf at `x_max` (and so at every node up to it) may be
+  // positive: those with near point below x_max when the set is ordered by
+  // near point, and always at least [0, at_least).
+  size_t ActiveCount(double x_max, size_t at_least) const {
+    if (!sorted_) return n_;
+    const auto& items = cands_.items();
+    const size_t m = static_cast<size_t>(
+        std::partition_point(items.begin(), items.end(),
+                             [x_max](const Candidate& c) {
+                               return c.dist.near() < x_max;
+                             }) -
+        items.begin());
+    return std::max(m, at_least);
+  }
+
+  // cdfs[c·G + j] = D_c(nodes[j]) for c in [0, m), one merge scan per
+  // candidate (bit-identical to per-node Cdf calls).
+  void GatherCdfs(size_t m) {
+    ws_.cdfs.resize(m * G);
+    for (size_t c = 0; c < m; ++c) {
+      cands_[c].dist.CdfSorted(nodes_, G, &ws_.cdfs[c * G]);
+    }
+  }
+
+  // Gauss-Legendre over candidate i's piece, whose nodes are in nodes_ and
+  // cdfs in the workspace: at every node the DP over the other candidates starts
+  // from prefix state i when `prefixed` (see BuildPrefixes), else from
+  // scratch, and yields P[at most k−1 of them are below the node].
+  double PieceIntegral(size_t i, double half, size_t m, bool prefixed) {
+    double density[G];
+    bool any = false;
+    for (size_t j = 0; j < G; ++j) {
+      density[j] = cands_[i].dist.Density(nodes_[j]);
+      any = any || density[j] != 0.0;
+    }
+    double* dp = ws_.dp.data();
+    if (any) {
+      size_t from = 0;
+      if (prefixed) {
+        const double* state = &ws_.prefix[i * states_ * G];
+        std::copy(state, state + states_ * G, dp);
+        from = i + 1;
+      } else {
+        std::fill(dp, dp + states_ * G, 0.0);
+        std::fill(dp, dp + G, 1.0);
+      }
+      for (size_t c = from; c < m; ++c) {
+        if (c != i) FoldIn<G>(dp, limit_, &ws_.cdfs[c * G]);
+      }
+    }
+    double sum = 0.0;
+    for (size_t j = 0; j < G; ++j) {
+      double f = 0.0;
+      if (density[j] != 0.0) {
+        double at_most = 0.0;
+        for (size_t t = 0; t < states_; ++t) at_most += dp[t * G + j];
+        f = density[j] * std::min(1.0, at_most);
+      }
+      sum += rule_.weights[j] * f;
+    }
+    return sum * half;
+  }
+
+  // DP states after each prefix [0, i) of the candidate order, i < rows:
+  // prefix[(i·states + t)·G + j].
+  void BuildPrefixes(size_t rows) {
+    const size_t stride = states_ * G;
+    ws_.prefix.resize(rows * stride);
+    double* state = ws_.prefix.data();
+    std::fill(state, state + stride, 0.0);
+    std::fill(state, state + G, 1.0);
+    for (size_t i = 0; i + 1 < rows; ++i, state += stride) {
+      std::copy(state, state + stride, state + stride);
+      FoldIn<G>(state + stride, limit_, &ws_.cdfs[i * G]);
+    }
+  }
+
+  // Integrates piece by piece in ascending order of the global segment each
+  // piece lies in; every pass moves each live candidate on by one piece.
+  void Sweep() {
+    const std::vector<double>& breaks = ws_.breaks;
+    while (!ws_.live.empty()) {
+      size_t cursor = ws_.tracks[ws_.live.front()].cursor;
+      for (size_t i : ws_.live) {
+        cursor = std::min(cursor, ws_.tracks[i].cursor);
+      }
+      // Candidates whose current piece is exactly global segment
+      // [breaks[cursor−1], breaks[cursor]] share its nodes, cdfs and
+      // prefix states; any other piece at this cursor is integrated alone.
+      ws_.shared.clear();
+      for (size_t i : ws_.live) {
+        const KnnWorkspace::Track& t = ws_.tracks[i];
+        if (t.cursor != cursor) continue;
+        bool done;
+        const double end = PieceEnd(t, &done);
+        if (cursor > 0 && cursor < breaks.size() &&
+            t.prev == breaks[cursor - 1] && end == breaks[cursor]) {
+          ws_.shared.push_back(i);
+        } else {
+          const double half = PlaceNodes(rule_, t.prev, end, nodes_);
+          const size_t m = ActiveCount(nodes_[G - 1], 0);
+          GatherCdfs(m);
+          Advance(i, PieceIntegral(i, half, m, /*prefixed=*/false), end, done);
+        }
+      }
+      if (!ws_.shared.empty()) {
+        const double half = PlaceNodes(rule_, breaks[cursor - 1],
+                                       breaks[cursor], nodes_);
+        const size_t rows = ws_.shared.back() + 1;
+        const size_t m = ActiveCount(nodes_[G - 1], rows);
+        GatherCdfs(m);
+        const bool prefixed = G * rows * states_ <= kKnnPrefixBudgetDoubles;
+        if (prefixed) BuildPrefixes(rows);
+        for (size_t i : ws_.shared) {
+          bool done;
+          PieceEnd(ws_.tracks[i], &done);
+          Advance(i, PieceIntegral(i, half, m, prefixed), breaks[cursor],
+                  done);
+        }
+      }
+      // Drop the candidates that finished or were decided.
+      ws_.live.erase(std::remove_if(ws_.live.begin(), ws_.live.end(),
+                                    [this](size_t i) {
+                                      return ws_.labels[i] != Label::kUnknown;
+                                    }),
+                     ws_.live.end());
+    }
+  }
+
+  // Adds one piece's integral to candidate i and, when evaluating a C-PkNN,
+  // classifies the running bound [partial, partial + remaining mass].
+  void Advance(size_t i, double piece, double end, bool done) {
+    KnnWorkspace::Track& t = ws_.tracks[i];
+    t.partial += piece;
+    t.prev = end;
+    ++t.cursor;
+    if (params_ == nullptr) {
+      if (done) {
+        (*probs_)[i] = std::clamp(t.partial, 0.0, 1.0);
+        ws_.labels[i] = Label::kSatisfy;  // any decided label ends the track
+      }
+      return;
+    }
+    ++answer_->segments_evaluated;
+    // Unintegrated probability mass of R_i in (prev, b] caps the rest of
+    // the integral (the Poisson-binomial factor is <= 1).
+    const double remaining =
+        std::max(0.0, t.cdf_b - cands_[i].dist.Cdf(t.prev));
+    ProbabilityBound& bound = answer_->bounds[i];
+    bound.Tighten(std::clamp(t.partial, 0.0, 1.0),
+                  std::clamp(t.partial + remaining, 0.0, 1.0));
+    const Label label = Classify(bound, *params_);
+    if (label != Label::kUnknown) {
+      if (!done) ++answer_->early_decided;
+      ws_.labels[i] = label;
+    } else if (done) {
+      Decide(i);
+    }
+  }
+
+  // Fully integrated (or nothing to integrate): the zero-width bound
+  // decides.
+  void Decide(size_t i) {
+    ProbabilityBound& bound = answer_->bounds[i];
+    bound.Tighten(bound.upper, bound.upper);
+    ws_.labels[i] = Classify(bound, *params_);
+  }
+
+  const CandidateSet& cands_;
+  const size_t n_;
+  const int limit_;       // k − 1
+  const size_t states_;   // k DP states per node
+  const GaussLegendreRule rule_;
+  const CpnnParams* params_;
+  KnnWorkspace& ws_;
+  bool sorted_ = false;   // candidates ascending by near point
+  double nodes_[G] = {};  // quadrature nodes of the current piece
+  CknnAnswer* answer_ = nullptr;
+  std::vector<double>* probs_ = nullptr;
+};
+
+// Runs fn(KnnSweep<G>&) with G the node count of the `gauss_points` rule.
+template <typename Fn>
+void RunSweep(const CandidateSet& cands, int k, int gauss_points,
+              const CpnnParams* params, KnnWorkspace* workspace, Fn&& fn) {
+  KnnWorkspace local;
+  KnnWorkspace& ws = workspace != nullptr ? *workspace : local;
+  const GaussLegendreRule rule = GaussLegendreNodes(gauss_points);
+  switch (rule.n) {
+    case 2: {
+      KnnSweep<2> sweep(cands, k, rule, params, ws);
+      return fn(sweep);
+    }
+    case 4: {
+      KnnSweep<4> sweep(cands, k, rule, params, ws);
+      return fn(sweep);
+    }
+    case 8: {
+      KnnSweep<8> sweep(cands, k, rule, params, ws);
+      return fn(sweep);
+    }
+    default: {
+      PV_CHECK(rule.n == 16);
+      KnnSweep<16> sweep(cands, k, rule, params, ws);
+      return fn(sweep);
+    }
+  }
 }
 
 }  // namespace
+
+size_t KnnWorkspace::ApproxBytes() const {
+  return (breaks.capacity() + cdfs.capacity() + prefix.capacity() +
+          dp.capacity()) * sizeof(double) +
+         tracks.capacity() * sizeof(Track) +
+         labels.capacity() * sizeof(Label) +
+         (live.capacity() + shared.capacity()) * sizeof(size_t);
+}
 
 double KthFarPoint(const CandidateSet& candidates, int k) {
   PV_CHECK_MSG(k >= 1 && static_cast<size_t>(k) <= candidates.size(),
@@ -88,8 +375,10 @@ std::vector<double> KnnRsUpperBounds(const CandidateSet& candidates, int k) {
   return ub;
 }
 
-std::vector<double> ComputeKnnProbabilities(
-    const CandidateSet& candidates, int k, const IntegrationOptions& options) {
+std::vector<double> ComputeKnnProbabilities(const CandidateSet& candidates,
+                                            int k,
+                                            const IntegrationOptions& options,
+                                            KnnWorkspace* workspace) {
   PV_CHECK_MSG(k >= 1, "k must be positive");
   const size_t n = candidates.size();
   std::vector<double> probs(n, 0.0);
@@ -100,16 +389,15 @@ std::vector<double> ComputeKnnProbabilities(
     return probs;
   }
   const double fk = KthFarPoint(candidates, k);
-  std::vector<double> breaks = GlobalBreakpoints(candidates);
-  for (size_t i = 0; i < n; ++i) {
-    probs[i] = ExactKnnProbability(candidates, i, k, fk, breaks, options);
-  }
+  RunSweep(candidates, k, options.gauss_points, /*params=*/nullptr, workspace,
+           [&](auto& sweep) { sweep.Integrate(fk, &probs); });
   return probs;
 }
 
 CknnAnswer EvaluateCknn(const CandidateSet& candidates, int k,
                         const CpnnParams& params,
-                        const IntegrationOptions& options) {
+                        const IntegrationOptions& options,
+                        KnnWorkspace* workspace) {
   params.Validate();
   CknnAnswer answer;
   const size_t n = candidates.size();
@@ -122,72 +410,10 @@ CknnAnswer EvaluateCknn(const CandidateSet& candidates, int k,
     }
     return answer;
   }
-
   const double fk = KthFarPoint(candidates, k);
   const std::vector<double> ub = KnnRsUpperBounds(candidates, k);
-  const std::vector<double> breaks = GlobalBreakpoints(candidates);
-  std::vector<double> gather(n);  // cdf gather scratch
-
-  for (size_t i = 0; i < n; ++i) {
-    ProbabilityBound& bound = answer.bounds[i];
-    bound.Tighten(0.0, ub[i]);
-    // RS-style verification: reject without integration when even the upper
-    // bound misses the threshold.
-    if (Classify(bound, params) == Label::kFail) {
-      ++answer.pruned_by_bound;
-      continue;
-    }
-
-    // Progressive integration: accumulate the integral segment by segment,
-    // classifying the running bound [partial, partial + remaining mass].
-    const Candidate& cand = candidates[i];
-    const double a = cand.dist.near();
-    const double b = std::min(cand.dist.far(), fk);
-    auto f = [&candidates, i, k, &gather](double r) {
-      double d = candidates[i].dist.Density(r);
-      if (d == 0.0) return 0.0;
-      return d * AtMostBelow(candidates, i, r, k - 1, gather.data());
-    };
-    // The cap below subtracts from P(R_i <= b), which does not change
-    // across segments — evaluate it once per candidate.
-    const double cdf_b = cand.dist.Cdf(b);
-
-    double partial = 0.0;
-    double prev = a;
-    Label label = Label::kUnknown;
-    auto it = std::upper_bound(breaks.begin(), breaks.end(), a);
-    bool done = false;
-    while (!done) {
-      double next;
-      if (it != breaks.end() && *it < b) {
-        next = *it;
-        ++it;
-      } else {
-        next = b;
-        done = true;
-      }
-      if (next <= prev) continue;
-      partial += GaussLegendre(f, prev, next, options.gauss_points);
-      ++answer.segments_evaluated;
-      prev = next;
-      // Unintegrated probability mass of R_i in (prev, b] caps the rest of
-      // the integral (the Poisson-binomial factor is <= 1).
-      double remaining = std::max(0.0, cdf_b - cand.dist.Cdf(prev));
-      bound.Tighten(std::clamp(partial, 0.0, 1.0),
-                    std::clamp(partial + remaining, 0.0, 1.0));
-      label = Classify(bound, params);
-      if (label != Label::kUnknown) {
-        if (!done) ++answer.early_decided;
-        break;
-      }
-    }
-    if (label == Label::kUnknown) {
-      // Fully integrated → zero-width bound decides.
-      bound.Tighten(bound.upper, bound.upper);
-      label = Classify(bound, params);
-    }
-    if (label == Label::kSatisfy) answer.ids.push_back(candidates[i].id);
-  }
+  RunSweep(candidates, k, options.gauss_points, &params, workspace,
+           [&](auto& sweep) { sweep.Evaluate(fk, ub, &answer); });
   return answer;
 }
 

@@ -18,9 +18,32 @@
 //    maintaining the bound [partial, partial + unintegrated mass]; the
 //    Definition 1 classifier decides most candidates long before the
 //    integral completes — the k-NN analogue of incremental refinement.
+//
+// Evaluation is one ascending sweep over the global breakpoints (the union
+// of every candidate's distance-pdf breakpoints). Each candidate integrates
+// the pieces of [n_i, min(f_i, f^(k))] that those breakpoints cut, with
+// Gauss-Legendre on every piece, so most pieces are exactly a global
+// segment that many candidates share. For such a segment and each of its
+// G quadrature nodes r the sweep computes once
+//
+//  * the cdfs D_j(r) of the candidates with near point below r (the set is
+//    ordered by near point, so every later candidate has D_j(r) = 0 and
+//    drops out of the DP), and
+//  * the DP state after each prefix j < i of the candidate order,
+//
+// and every undecided candidate i on the segment resumes the DP from
+// prefix state i, folding in only its own suffix. The DP therefore sees
+// the same probabilities in the same order as a per-candidate evaluation
+// would, and each candidate sums its own nodes and segments in the same
+// order: answers, bounds and counters are bit-identical to evaluating the
+// candidates one by one. The prefix states take O(G·|C|·k) doubles per
+// segment; a segment whose states would exceed kKnnPrefixBudgetDoubles,
+// and a candidate's first or last piece when it is not a whole global
+// segment, run the DP from the start instead.
 #ifndef PVERIFY_CORE_KNN_H_
 #define PVERIFY_CORE_KNN_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "core/candidate.h"
@@ -28,6 +51,38 @@
 #include "core/types.h"
 
 namespace pverify {
+
+/// Per-segment ceiling on the sweep's prefix-state workspace (doubles,
+/// 256 KiB, sized to stay in a core's L2). A |C| ≈ 115, k = 4, G = 16
+/// query needs about 7.4k.
+inline constexpr size_t kKnnPrefixBudgetDoubles = size_t{1} << 15;
+
+/// Reusable storage of the k-NN sweep, owned by a QueryScratch (one per
+/// worker). Passing nullptr where a KnnWorkspace* is accepted allocates a
+/// local one; results are bit-identical either way. Not thread-safe.
+struct KnnWorkspace {
+  /// Integration state of one candidate.
+  struct Track {
+    double a = 0.0;        ///< integration start: the near point
+    double b = 0.0;        ///< integration end: min(far point, f^(k))
+    double cdf_b = 0.0;    ///< D_i(b), for the unintegrated-mass cap
+    double partial = 0.0;  ///< integral over [a, prev]
+    double prev = 0.0;     ///< start of the next piece
+    size_t cursor = 0;     ///< index of the first global breakpoint > prev
+  };
+
+  std::vector<double> breaks;      ///< global breakpoints
+  std::vector<Track> tracks;       ///< one per candidate
+  std::vector<Label> labels;       ///< decided label per candidate
+  std::vector<size_t> live;        ///< undecided candidates, ascending
+  std::vector<size_t> shared;      ///< candidates on the current segment
+  std::vector<double> cdfs;        ///< D_j(node), candidate-major
+  std::vector<double> prefix;      ///< DP state after each prefix, per node
+  std::vector<double> dp;          ///< one candidate's running DP state
+
+  /// Approximate heap footprint (capacity, not size).
+  size_t ApproxBytes() const;
+};
 
 /// k-th smallest far point of the candidate set (k >= 1). Requires
 /// k <= |C|.
@@ -37,11 +92,12 @@ double KthFarPoint(const CandidateSet& candidates, int k);
 /// p_i^(k) <= D_i(f^(k)).
 std::vector<double> KnnRsUpperBounds(const CandidateSet& candidates, int k);
 
-/// Exact k-NN qualification probabilities (Poisson-binomial integration).
-/// k = 1 reduces to the PNN probabilities.
+/// Exact k-NN qualification probabilities (Poisson-binomial integration,
+/// every candidate to completion). k = 1 reduces to the PNN probabilities.
 std::vector<double> ComputeKnnProbabilities(const CandidateSet& candidates,
                                             int k,
-                                            const IntegrationOptions& options);
+                                            const IntegrationOptions& options,
+                                            KnnWorkspace* workspace = nullptr);
 
 /// Answer of a constrained k-NN query (threshold/tolerance semantics of
 /// Definition 1 applied to p_i^(k)).
@@ -60,7 +116,8 @@ struct CknnAnswer {
 /// classification after every segment.
 CknnAnswer EvaluateCknn(const CandidateSet& candidates, int k,
                         const CpnnParams& params,
-                        const IntegrationOptions& options);
+                        const IntegrationOptions& options,
+                        KnnWorkspace* workspace = nullptr);
 
 }  // namespace pverify
 

@@ -169,12 +169,36 @@ QueryAnswer CpnnExecutor::Execute(double q, const QueryOptions& options,
 }
 
 CknnAnswer CpnnExecutor::ExecuteKnn(double q, int k, const CpnnParams& params,
-                                    const IntegrationOptions& integration)
-    const {
-  FilterResult filtered = FilterKByScan(dataset_, q, k);
-  CandidateSet candidates =
-      CandidateSet::Build1D(dataset_, filtered.candidates, q, k);
-  return EvaluateCknn(candidates, k, params, integration);
+                                    const IntegrationOptions& integration,
+                                    QueryScratch* scratch,
+                                    QueryStats* stats) const {
+  Timer t;
+  FilterResult filtered = filter_.FilterK(q, k);
+  const double filter_ms = t.ElapsedMs();
+  CandidateSet candidates = CandidateSet::Build1D(
+      dataset_, filtered.candidates, q, k,
+      scratch != nullptr ? &scratch->candidates : nullptr);
+  const double build_ms = t.ElapsedMs();
+  CknnAnswer answer =
+      EvaluateCknn(candidates, k, params, integration,
+                   scratch != nullptr ? &scratch->knn : nullptr);
+  if (scratch != nullptr) scratch->candidates.Recycle(std::move(candidates));
+  if (stats != nullptr) {
+    RecordKnnStats(filter_ms, build_ms, t.ElapsedMs(), dataset_.size(),
+                   answer, stats);
+  }
+  return answer;
+}
+
+void RecordKnnStats(double filter_ms, double build_ms, double total_ms,
+                    size_t dataset_size, const CknnAnswer& answer,
+                    QueryStats* stats) {
+  stats->filter_ms = filter_ms;
+  stats->init_ms = build_ms - filter_ms;
+  stats->refine_ms = total_ms - build_ms;
+  stats->total_ms = total_ms;
+  stats->dataset_size = dataset_size;
+  stats->candidates = answer.bounds.size();
 }
 
 std::vector<std::pair<ObjectId, double>> CpnnExecutor::ComputePnn(

@@ -79,11 +79,20 @@ class CpnnExecutor {
   /// Runs only the filtering phase (exposed for benchmarks/tests).
   FilterResult Filter(double q) const { return filter_.Filter(q); }
 
+  /// The R-tree filter (k = 1 and k-NN filtering).
+  const PnnFilter& filter() const { return filter_; }
+
   /// Constrained probabilistic k-NN (the §VI extension): k-th-far-point
-  /// filtering, RS-style bound verification, progressive Poisson-binomial
-  /// refinement.
+  /// filtering through the R-tree, RS-style bound verification, progressive
+  /// Poisson-binomial refinement. A non-null `scratch` lends the candidate
+  /// arena and the sweep workspace; a non-null `stats` receives the phase
+  /// split (filter_ms, init_ms for the distance distributions, refine_ms
+  /// for the integration; they sum to total_ms) and |C|. Answers are
+  /// bit-identical either way.
   CknnAnswer ExecuteKnn(double q, int k, const CpnnParams& params,
-                        const IntegrationOptions& integration = {}) const;
+                        const IntegrationOptions& integration = {},
+                        QueryScratch* scratch = nullptr,
+                        QueryStats* stats = nullptr) const;
 
   /// Minimum query: objects likely to hold the smallest value. A PNN with
   /// q = −∞ (paper §I); evaluated at a query point below every region.
@@ -108,6 +117,13 @@ class CpnnExecutor {
 QueryAnswer ExecuteOnCandidates(CandidateSet candidates,
                                 const QueryOptions& options,
                                 QueryScratch* scratch = nullptr);
+
+/// Fills a k-NN request's stats from one timer's cumulative laps (filter
+/// done, candidates built, integration done), so filter_ms, init_ms and
+/// refine_ms sum to total_ms; also records the dataset size and |C|.
+void RecordKnnStats(double filter_ms, double build_ms, double total_ms,
+                    size_t dataset_size, const CknnAnswer& answer,
+                    QueryStats* stats);
 
 }  // namespace pverify
 

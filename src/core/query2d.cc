@@ -40,12 +40,25 @@ QueryAnswer CpnnExecutor2D::Execute(Point2 q, const QueryOptions& options,
 
 CknnAnswer CpnnExecutor2D::ExecuteKnn(Point2 q, int k,
                                       const CpnnParams& params,
-                                      const IntegrationOptions& integration)
-    const {
-  FilterResult filtered = FilterKByScan2D(dataset_, q, k);
+                                      const IntegrationOptions& integration,
+                                      QueryScratch* scratch,
+                                      QueryStats* stats) const {
+  Timer t;
+  FilterResult filtered = filter_.FilterK(q, k);
+  const double filter_ms = t.ElapsedMs();
   CandidateSet candidates = CandidateSet::Build2D(
-      dataset_, filtered.candidates, q, radial_pieces_, k);
-  return EvaluateCknn(candidates, k, params, integration);
+      dataset_, filtered.candidates, q, radial_pieces_, k,
+      scratch != nullptr ? &scratch->candidates : nullptr);
+  const double build_ms = t.ElapsedMs();
+  CknnAnswer answer =
+      EvaluateCknn(candidates, k, params, integration,
+                   scratch != nullptr ? &scratch->knn : nullptr);
+  if (scratch != nullptr) scratch->candidates.Recycle(std::move(candidates));
+  if (stats != nullptr) {
+    RecordKnnStats(filter_ms, build_ms, t.ElapsedMs(), dataset_.size(),
+                   answer, stats);
+  }
+  return answer;
 }
 
 std::vector<std::pair<ObjectId, double>> CpnnExecutor2D::ComputePnn(

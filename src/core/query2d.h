@@ -41,15 +41,21 @@ class CpnnExecutor2D {
       Point2 q, const IntegrationOptions& integration = {}) const;
 
   /// Constrained probabilistic k-NN at a 2-D query point: k-th-far-point
-  /// filtering over exact region distances, then the same RS-style bound +
-  /// progressive Poisson-binomial refinement as the 1-D ExecuteKnn (the
-  /// radial distance distributions plug straight into the k-NN verifier
-  /// machinery).
+  /// filtering through the R-tree over exact region distances, then the
+  /// same RS-style bound + progressive Poisson-binomial refinement as the
+  /// 1-D ExecuteKnn (the radial distance distributions plug straight into
+  /// the k-NN verifier machinery). `scratch` and `stats` as in
+  /// CpnnExecutor::ExecuteKnn.
   CknnAnswer ExecuteKnn(Point2 q, int k, const CpnnParams& params,
-                        const IntegrationOptions& integration = {}) const;
+                        const IntegrationOptions& integration = {},
+                        QueryScratch* scratch = nullptr,
+                        QueryStats* stats = nullptr) const;
 
   /// Filtering phase only.
   FilterResult Filter(Point2 q) const { return filter_.Filter(q); }
+
+  /// The R-tree filter (k = 1 and k-NN filtering).
+  const PnnFilter2D& filter() const { return filter_; }
 
  private:
   /// Filter + distance-distribution stages: the candidate set the

@@ -9,7 +9,7 @@ size_t QueryScratch::ApproxBytes() const {
          context.qup.capacity() * sizeof(double) +
          context.prod.capacity() * sizeof(double) +
          refine_order.capacity() * sizeof(size_t) +
-         cdf_gather.capacity() * sizeof(double);
+         cdf_gather.capacity() * sizeof(double) + knn.ApproxBytes();
 }
 
 }  // namespace pverify

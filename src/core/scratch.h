@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/candidate.h"
+#include "core/knn.h"
 #include "core/subregion.h"
 #include "core/verifier.h"
 
@@ -53,6 +54,10 @@ struct QueryScratch {
   /// Cdf-row gather scratch (|C| doubles) for the batched NN-product
   /// integrand of exact refinement (see core/cdf_batch.h).
   std::vector<double> cdf_gather;
+
+  /// Workspace of the k-NN segment sweep (global breakpoints, per-segment
+  /// cdfs and prefix DP states; see core/knn.h).
+  KnnWorkspace knn;
 
   /// Queries that borrowed this scratch so far (telemetry; bumped by
   /// VerificationFramework when it adopts the scratch).

@@ -130,14 +130,11 @@ QueryResult QueryEngine::Run(MaxQuery&& q, QueryScratch* scratch) const {
   return ToQueryResult(executor_.ExecuteMax(q.options, scratch));
 }
 
-QueryResult QueryEngine::Run(KnnQuery&& q, QueryScratch*) const {
-  Timer t;
-  CknnAnswer answer =
-      executor_.ExecuteKnn(q.q, q.k, q.options.params, q.options.integration);
+QueryResult QueryEngine::Run(KnnQuery&& q, QueryScratch* scratch) const {
   QueryResult result;
-  result.stats.total_ms = t.ElapsedMs();
-  result.stats.dataset_size = executor_.dataset().size();
-  result.stats.candidates = answer.bounds.size();
+  CknnAnswer answer =
+      executor_.ExecuteKnn(q.q, q.k, q.options.params, q.options.integration,
+                           scratch, &result.stats);
   result.ids = answer.ids;
   result.knn = std::move(answer);
   return result;
@@ -158,16 +155,13 @@ QueryResult QueryEngine::Run(Point2DQuery&& q, QueryScratch* scratch) const {
   return ToQueryResult(executor2d_->Execute(q.q, q.options, scratch));
 }
 
-QueryResult QueryEngine::Run(Knn2DQuery&& q, QueryScratch*) const {
+QueryResult QueryEngine::Run(Knn2DQuery&& q, QueryScratch* scratch) const {
   PV_CHECK_MSG(executor2d_.has_value(),
                "Knn2DQuery on an engine without a 2-D dataset");
-  Timer t;
-  CknnAnswer answer = executor2d_->ExecuteKnn(q.q, q.k, q.options.params,
-                                              q.options.integration);
   QueryResult result;
-  result.stats.total_ms = t.ElapsedMs();
-  result.stats.dataset_size = executor2d_->dataset().size();
-  result.stats.candidates = answer.bounds.size();
+  CknnAnswer answer =
+      executor2d_->ExecuteKnn(q.q, q.k, q.options.params,
+                              q.options.integration, scratch, &result.stats);
   result.ids = answer.ids;
   result.knn = std::move(answer);
   return result;

@@ -157,11 +157,12 @@ struct ShardedQueryEngine::PointScatterPolicy {
 /// shards by ascending bounds MAXDIST until they cover k objects; that
 /// MAXDIST upper-bounds the global k-th far point, so shards whose bounds
 /// MINDIST exceeds it hold none of the k smallest far points and no
-/// candidates. Phase 1 collects each shard's k smallest far points; their
-/// merge contains the k smallest global ones (each lives in its shard's
-/// local top-k), so the k-th order statistic of the merge equals the
-/// unsharded FilterKByScan / FilterKByScan2D value exactly. Phase 2 scans
-/// survivors with the same per-object arithmetic those filters use.
+/// candidates. Phase 1 collects each shard's k smallest far points with
+/// its R-tree; their merge contains the k smallest global ones (each lives
+/// in its shard's local top-k), so the k-th order statistic of the merge
+/// equals the unsharded filter's value exactly. Phase 2 fetches each
+/// shard's survivors from the same R-tree with the same per-object
+/// predicate the unsharded filter uses.
 template <int Dim>
 struct ShardedQueryEngine::KnnScatterPolicy {
   static_assert(Dim == 1 || Dim == 2, "knn scatter is 1-D or 2-D");
@@ -239,10 +240,9 @@ struct ShardedQueryEngine::KnnScatterPolicy {
 
   Local LocalFilter(const Shard& shard) const {
     if constexpr (Dim == 1) {
-      return SmallestFarPoints(shard.engine->executor().dataset(), q, want);
+      return shard.engine->executor().filter().SmallestFarPoints(q, want);
     } else {
-      return SmallestFarPoints2D(shard.engine->executor2d()->dataset(), q,
-                                 want);
+      return shard.engine->executor2d()->filter().SmallestFarPoints(q, want);
     }
   }
 
@@ -265,34 +265,37 @@ struct ShardedQueryEngine::KnnScatterPolicy {
   void CollectSurvivors(const Shard& shard, const Local&, double cut,
                         Survivors* out) const {
     if constexpr (Dim == 1) {
-      for (const UncertainObject& obj : shard.engine->executor().dataset()) {
-        if (obj.MinDist(q) <= cut + kFilterBoundarySlack) {
-          out->emplace_back(obj.id(),
-                            DistanceDistribution::From1D(obj.pdf(), q));
-        }
+      const CpnnExecutor& ex = shard.engine->executor();
+      for (uint32_t idx : ex.filter().Survivors(q, cut)) {
+        const UncertainObject& obj = ex.dataset()[idx];
+        out->emplace_back(obj.id(),
+                          DistanceDistribution::From1D(obj.pdf(), q));
       }
     } else {
-      for (const UncertainObject2D& obj :
-           shard.engine->executor2d()->dataset()) {
-        if (obj.MinDist(q) <= cut + kFilterBoundarySlack) {
-          out->emplace_back(
-              obj.id(),
-              MakeDistanceDistribution2D(obj, q, engine.radial_pieces_));
-        }
+      const CpnnExecutor2D& ex = *shard.engine->executor2d();
+      for (uint32_t idx : ex.filter().Survivors(q, cut)) {
+        const UncertainObject2D& obj = ex.dataset()[idx];
+        out->emplace_back(
+            obj.id(),
+            MakeDistanceDistribution2D(obj, q, engine.radial_pieces_));
       }
     }
   }
 
-  QueryResult Finish(Survivors&& merged, QueryScratch*, double filter_total,
-                     double build_total, const Timer& total) const {
+  QueryResult Finish(Survivors&& merged, QueryScratch* scratch,
+                     double filter_total, double build_total,
+                     const Timer& total) const {
     // Rebuild the (order-normalized) candidate set with the k-aware
     // pruning rule and evaluate the constrained k-NN once.
+    Timer refine_timer;
     CandidateSet candidates =
         CandidateSet::FromDistances(std::move(merged), k);
     CknnAnswer answer =
-        EvaluateCknn(candidates, k, options.params, options.integration);
+        EvaluateCknn(candidates, k, options.params, options.integration,
+                     scratch != nullptr ? &scratch->knn : nullptr);
 
     QueryResult result;
+    result.stats.refine_ms = refine_timer.ElapsedMs();
     result.stats.total_ms = total.ElapsedMs();
     result.stats.filter_ms = filter_total;
     result.stats.init_ms = build_total;

@@ -1,17 +1,23 @@
 // pverify_serve's multi-client TCP server.
 //
 // Serving model: thread-per-connection (one reader + one writer thread per
-// accepted socket) behind a hard connection cap — NOT epoll. The trade was
-// deliberate: a pverify query costs milliseconds of CPU in the engine, so
-// the scalability bottleneck is the worker pool, not socket readiness —
-// every connection's requests are funneled through Engine::Submit, where
-// the SubmitQueue coalesces traffic from all connections into shared pool
-// batches (and an optional CachingEngine wrapper memoizes across
-// connections). Blocking reads keep the decode path a straight line with
-// strict frame sequencing per connection, and the cap bounds the thread
-// count (2 × max_connections) so thread-per-connection stays cheap: at the
-// point where thousands of concurrent sockets would demand epoll, the
-// engine would be saturated long before the kernel is.
+// accepted socket) behind a hard connection cap — NOT epoll. The trade
+// rests on what a request costs. perfbench/README.md measured, on the
+// LongBeach-like dataset on a shared 4-vCPU VM: a point query takes
+// 108–151 µs of engine time (`core.total_us`), a k = 4 k-NN 2.8 ms
+// (`knn_p50_us.high` on batch_point), and the server saturates at
+// 18–19k point q/s (`max_qps_at_slo` on serve_point) against 20–23k q/s
+// in process. So the worker pool runs out long before socket readiness
+// matters: a handful of connections offers that load, and the cap bounds
+// the thread count at 2 × max_connections. Of a 334 µs round-trip p50 at
+// 2000 q/s, 191 µs is spent outside the engine (decode, Submit, the
+// dispatcher, the future, the writer, the socket): thread handoffs, not
+// readiness polling, which epoll would not remove. Every connection's
+// requests are funneled through Engine::Submit, where the SubmitQueue
+// coalesces traffic from all connections into shared pool batches (and an
+// optional CachingEngine wrapper memoizes across connections). Blocking
+// reads keep the decode path a straight line with strict frame sequencing
+// per connection.
 //
 // Per connection: the reader thread decodes frames into typed
 // QueryRequests and Submits them (so responses to one connection's

@@ -14,9 +14,7 @@
 #ifndef PVERIFY_SPATIAL_BOUNDS_H_
 #define PVERIFY_SPATIAL_BOUNDS_H_
 
-#include <cstddef>
 #include <limits>
-#include <vector>
 
 #include "spatial/mbr.h"
 #include "uncertain/distance2d.h"
@@ -67,18 +65,6 @@ inline double IntervalMaxDistToBounds(double q, const DomainBounds& b) {
   double c = b.hi - q;
   return a > c ? a : c;
 }
-
-/// The min(k, |dataset|) smallest far points (UncertainObject::MaxDist) of
-/// the dataset w.r.t. q, ascending. A sharded k-NN filter merges these
-/// per-shard lists to recover the global k-th far point exactly.
-std::vector<double> SmallestFarPoints(const Dataset& dataset, double q,
-                                      size_t k);
-
-/// 2-D analogue over exact region far points (UncertainObject2D::MaxDist —
-/// the same arithmetic FilterKByScan2D ranks), so the sharded 2-D k-NN
-/// merge recovers FilterKByScan2D's k-th far point bit for bit.
-std::vector<double> SmallestFarPoints2D(const Dataset2D& dataset, Point2 q,
-                                        size_t k);
 
 /// Bounding box of a 2-D uncertainty region — the exact boxes the 2-D
 /// R-tree indexes (rectangle as-is, disk as center ± radius), so shard

@@ -12,6 +12,38 @@ namespace {
 // See kFilterBoundarySlack in the header for the rationale.
 constexpr double kBoundarySlack = kFilterBoundarySlack;
 
+// Indices of the objects whose exact MinDist (`min_dist(idx)`) is at most
+// cut + slack, ascending. The MBR fetch is a superset: MBR MINDIST
+// lower-bounds the exact distance up to the rounding WidenForRounding
+// covers.
+template <int Dim, typename MinDist>
+std::vector<uint32_t> SurvivorsOf(const RTree<Dim, uint32_t>& tree,
+                                  const std::array<double, Dim>& pt,
+                                  double cut, MinDist min_dist) {
+  const double radius = cut + kBoundarySlack;
+  std::vector<uint32_t> out = tree.WithinDistance(pt, WidenForRounding(radius));
+  out.erase(std::remove_if(out.begin(), out.end(),
+                           [&](uint32_t idx) {
+                             return !(min_dist(idx) <= radius);
+                           }),
+            out.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// k-NN filtering through a PnnFilter / PnnFilter2D: f^(k) is the k-th
+// smallest far point (the largest when k exceeds the dataset), the
+// candidates its survivors.
+template <typename Filter, typename Point>
+FilterResult FilterKOf(const Filter& filter, bool empty, Point q, int k) {
+  PV_CHECK_MSG(k >= 1, "k must be positive");
+  FilterResult result;
+  if (empty) return result;
+  result.fmin = filter.SmallestFarPoints(q, static_cast<size_t>(k)).back();
+  result.candidates = filter.Survivors(q, result.fmin);
+  return result;
+}
+
 }  // namespace
 
 PnnFilter::PnnFilter(const Dataset& dataset) : dataset_(&dataset) {
@@ -32,6 +64,26 @@ FilterResult PnnFilter::Filter(double q) const {
       rtree_.WithinDistance(pt, result.fmin + kBoundarySlack);
   std::sort(result.candidates.begin(), result.candidates.end());
   return result;
+}
+
+FilterResult PnnFilter::FilterK(double q, int k) const {
+  return FilterKOf(*this, rtree_.empty(), q, k);
+}
+
+std::vector<double> PnnFilter::SmallestFarPoints(double q, size_t k) const {
+  // UncertainObject::MaxDist's arithmetic on the leaf's exact interval.
+  return rtree_.SmallestFarPoints(
+      {q}, k, [q](const RTree<1, uint32_t>::Entry& e) {
+        const double a = q - e.mbr.lo[0];
+        const double b = e.mbr.hi[0] - q;
+        return a > b ? a : b;
+      });
+}
+
+std::vector<uint32_t> PnnFilter::Survivors(double q, double cut) const {
+  return SurvivorsOf<1>(rtree_, {q}, cut, [this, q](uint32_t idx) {
+    return (*dataset_)[idx].MinDist(q);
+  });
 }
 
 PnnFilter2D::PnnFilter2D(const Dataset2D& dataset) : dataset_(&dataset) {
@@ -65,6 +117,23 @@ FilterResult PnnFilter2D::Filter(Point2 q) const {
   }
   std::sort(result.candidates.begin(), result.candidates.end());
   return result;
+}
+
+FilterResult PnnFilter2D::FilterK(Point2 q, int k) const {
+  return FilterKOf(*this, rtree_.empty(), q, k);
+}
+
+std::vector<double> PnnFilter2D::SmallestFarPoints(Point2 q, size_t k) const {
+  return rtree_.SmallestFarPoints(
+      {q.x, q.y}, k, [this, q](const RTree<2, uint32_t>::Entry& e) {
+        return (*dataset_)[e.value].MaxDist(q);
+      });
+}
+
+std::vector<uint32_t> PnnFilter2D::Survivors(Point2 q, double cut) const {
+  return SurvivorsOf<2>(rtree_, {q.x, q.y}, cut, [this, q](uint32_t idx) {
+    return (*dataset_)[idx].MinDist(q);
+  });
 }
 
 FilterResult FilterByScan(const Dataset& dataset, double q) {

@@ -41,6 +41,20 @@ class PnnFilter {
   /// Runs the filtering phase for query point q.
   FilterResult Filter(double q) const;
 
+  /// k-NN filtering (the C-PkNN extension): fmin becomes the k-th smallest
+  /// far point (the largest when k exceeds the dataset) and candidates are
+  /// the objects whose near point does not exceed it, ascending — exactly
+  /// FilterKByScan's result, found through the R-tree.
+  FilterResult FilterK(double q, int k) const;
+
+  /// The min(k, |dataset|) smallest far points (UncertainObject::MaxDist)
+  /// from q, ascending.
+  std::vector<double> SmallestFarPoints(double q, size_t k) const;
+
+  /// Indices of the objects whose UncertainObject::MinDist from q is at
+  /// most cut + kFilterBoundarySlack, ascending.
+  std::vector<uint32_t> Survivors(double q, double cut) const;
+
   const RTree<1, uint32_t>& rtree() const { return rtree_; }
 
  private:
@@ -55,6 +69,18 @@ class PnnFilter2D {
 
   FilterResult Filter(Point2 q) const;
 
+  /// 2-D k-NN filtering over exact region distances
+  /// (UncertainObject2D::MinDist/MaxDist): FilterKByScan2D's result,
+  /// found through the R-tree.
+  FilterResult FilterK(Point2 q, int k) const;
+
+  /// The min(k, |dataset|) smallest exact far points from q, ascending.
+  std::vector<double> SmallestFarPoints(Point2 q, size_t k) const;
+
+  /// Indices of the objects whose exact MinDist from q is at most
+  /// cut + kFilterBoundarySlack, ascending.
+  std::vector<uint32_t> Survivors(Point2 q, double cut) const;
+
  private:
   RTree<2, uint32_t> rtree_;
   const Dataset2D* dataset_;  // not owned
@@ -66,12 +92,13 @@ FilterResult FilterByScan(const Dataset& dataset, double q);
 FilterResult FilterByScan2D(const Dataset2D& dataset, Point2 q);
 
 /// k-NN filtering by scan: fmin becomes the k-th smallest far point and
-/// candidates are the objects whose near point does not exceed it. Used by
-/// the C-PkNN extension.
+/// candidates are the objects whose near point does not exceed it. The
+/// reference for PnnFilter::FilterK (tests, benches).
 FilterResult FilterKByScan(const Dataset& dataset, double q, int k);
 
 /// 2-D analogue: the same k-th-far-point rule over exact region distances
-/// (UncertainObject2D::MinDist/MaxDist). Used by the 2-D C-PkNN pipeline.
+/// (UncertainObject2D::MinDist/MaxDist). The reference for
+/// PnnFilter2D::FilterK.
 FilterResult FilterKByScan2D(const Dataset2D& dataset, Point2 q, int k);
 
 }  // namespace pverify

@@ -112,6 +112,15 @@ struct Mbr {
   }
 };
 
+/// r plus a margin covering the last-bits disagreement between the MBR
+/// metrics above and an object's exact region distances (same geometry,
+/// different operation order: hypot vs. sqrt, center distance ± radius).
+/// Where an MBR distance bounds exact ones, comparing against the widened
+/// value keeps every object the exact comparison would keep.
+inline double WidenForRounding(double r) {
+  return r + 1e-9 * (1.0 + std::abs(r));
+}
+
 /// 1-D MBR from an interval.
 inline Mbr<1> MakeInterval(double lo, double hi) {
   Mbr<1> m;

@@ -130,6 +130,52 @@ class RTree {
     return best;
   }
 
+  /// The min(k, size()) smallest far distances over all entries,
+  /// ascending — the k-th far point of the k-NN filter. `leaf_far(entry)`
+  /// returns an entry's far distance from q (its exact region geometry,
+  /// which the MBR only bounds); it is never below the entry's MBR
+  /// MINDIST, so a node's MINDIST lower-bounds every far distance beneath
+  /// it. Best-first on node MINDIST: the search stops once the next node's
+  /// MINDIST exceeds the current k-th smallest far distance (widened by
+  /// WidenForRounding, so rounding in the two metrics cannot cut an entry).
+  template <typename LeafFar>
+  std::vector<double> SmallestFarPoints(const std::array<double, Dim>& q,
+                                        size_t k, LeafFar&& leaf_far) const {
+    std::vector<double> best;  // max-heap of the k smallest so far
+    if (!root_ || k == 0) return best;
+    auto beyond = [&best, k](double mind) {
+      return best.size() == k && mind > WidenForRounding(best.front());
+    };
+    using Item = std::pair<double, const Node*>;  // (mindist, node)
+    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
+    heap.emplace(root_->mbr.MinDist(q), root_.get());
+    while (!heap.empty()) {
+      auto [mind, node] = heap.top();
+      heap.pop();
+      if (beyond(mind)) break;  // every remaining node is at least as far
+      if (node->leaf) {
+        for (const Entry& e : node->entries) {
+          const double far = leaf_far(e);
+          if (best.size() < k) {
+            best.push_back(far);
+            std::push_heap(best.begin(), best.end());
+          } else if (far < best.front()) {
+            std::pop_heap(best.begin(), best.end());
+            best.back() = far;
+            std::push_heap(best.begin(), best.end());
+          }
+        }
+      } else {
+        for (const auto& child : node->children) {
+          const double child_mind = child->mbr.MinDist(q);
+          if (!beyond(child_mind)) heap.emplace(child_mind, child.get());
+        }
+      }
+    }
+    std::sort_heap(best.begin(), best.end());
+    return best;
+  }
+
   /// Entries whose MINDIST(q, entry) <= radius, i.e. the ball-overlap query
   /// used to retrieve the PNN candidate set.
   std::vector<Value> WithinDistance(const std::array<double, Dim>& q,

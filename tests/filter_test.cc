@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -104,6 +105,124 @@ TEST(Filter2DTest, CircleFarPointTighterThanMbr) {
   FilterResult r = filter.Filter({0.0, 0.0});
   EXPECT_NEAR(r.fmin, 10.0, 1e-9);  // not 10·√2
   EXPECT_EQ(r.candidates, (std::vector<uint32_t>{0}));
+}
+
+// --- k-NN filtering through the R-tree vs. the reference scan ------------
+
+std::vector<int> KSweep(size_t n) {
+  return {1, 2, 4, 17, static_cast<int>(n) - 1, static_cast<int>(n),
+          static_cast<int>(n) + 5};
+}
+
+// Bit-exact: the same k-th far point and the same ascending candidates.
+void ExpectSameKFilter(const FilterResult& tree, const FilterResult& scan,
+                       const std::string& what) {
+  EXPECT_EQ(tree.fmin, scan.fmin) << what;
+  EXPECT_EQ(tree.candidates, scan.candidates) << what;
+}
+
+void CheckKFilter1D(const Dataset& data, const std::vector<double>& qs) {
+  PnnFilter filter(data);
+  for (double q : qs) {
+    for (int k : KSweep(data.size())) {
+      if (k < 1) continue;
+      ExpectSameKFilter(filter.FilterK(q, k), FilterKByScan(data, q, k),
+                        "q=" + std::to_string(q) + " k=" + std::to_string(k));
+    }
+  }
+}
+
+std::vector<double> RandomPoints(size_t count, double lo, double hi,
+                                 uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> qs;
+  for (size_t i = 0; i < count; ++i) qs.push_back(rng.Uniform(lo, hi));
+  return qs;
+}
+
+TEST(KFilterTest, TreeMatchesScanOnRandomQueries) {
+  Dataset data = datagen::MakeUniformScatter(3000, 1000.0, 2.0, 5);
+  CheckKFilter1D(data, RandomPoints(12, 0.0, 1000.0, 41));
+}
+
+TEST(KFilterTest, TreeMatchesScanOutsideTheDomain) {
+  Dataset data = datagen::MakeUniformScatter(3000, 1000.0, 2.0, 7);
+  CheckKFilter1D(data, {-5000.0, -1.0, 1000.5, 1e6});
+}
+
+TEST(KFilterTest, TreeMatchesScanWithEqualFarTies) {
+  // Intervals centred on q = 50 have pairwise-equal far points; duplicates
+  // and mirrored copies add more ties at every rank.
+  Dataset data;
+  ObjectId id = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    for (int w = 1; w <= 20; ++w) {
+      data.emplace_back(id++, MakeUniformPdf(50.0 - w, 50.0 + w));
+      data.emplace_back(id++, MakeUniformPdf(50.0 - w, 50.0 + 0.5 * w));
+      data.emplace_back(id++, MakeUniformPdf(50.0 - 0.5 * w, 50.0 + w));
+    }
+  }
+  CheckKFilter1D(data, {50.0, 49.5, 0.0, 120.0});
+}
+
+TEST(KFilterTest, TreeMatchesScanOnTinyDatasets) {
+  CheckKFilter1D(SmallDataset(), {-3.0, 1.5, 4.5, 11.0, 30.0});
+  Dataset single;
+  single.emplace_back(42, MakeUniformPdf(5.0, 7.0));
+  CheckKFilter1D(single, {0.0, 6.0, 9.0});
+}
+
+TEST(KFilterTest, EmptyDatasetAndInvalidK) {
+  Dataset empty;
+  PnnFilter filter(empty);
+  FilterResult r = filter.FilterK(3.0, 4);
+  EXPECT_TRUE(r.candidates.empty());
+  Dataset data = SmallDataset();
+  PnnFilter nonempty(data);
+  EXPECT_THROW(nonempty.FilterK(1.0, 0), std::logic_error);
+}
+
+void CheckKFilter2D(const Dataset2D& data, const std::vector<Point2>& qs) {
+  PnnFilter2D filter(data);
+  for (Point2 q : qs) {
+    for (int k : KSweep(data.size())) {
+      if (k < 1) continue;
+      ExpectSameKFilter(filter.FilterK(q, k), FilterKByScan2D(data, q, k),
+                        "q=(" + std::to_string(q.x) + "," +
+                            std::to_string(q.y) + ") k=" + std::to_string(k));
+    }
+  }
+}
+
+TEST(KFilter2DTest, TreeMatchesScanOnRandomQueries) {
+  Dataset2D data = datagen::MakeSynthetic2D({.count = 800, .seed = 9});
+  Rng rng(43);
+  std::vector<Point2> qs;
+  for (int t = 0; t < 8; ++t) {
+    qs.push_back({rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0)});
+  }
+  CheckKFilter2D(data, qs);
+}
+
+TEST(KFilter2DTest, TreeMatchesScanOutsideTheDomain) {
+  Dataset2D data = datagen::MakeSynthetic2D({.count = 800, .seed = 11});
+  CheckKFilter2D(data, {{-500.0, -500.0}, {1500.0, 300.0}, {500.0, 2e5}});
+}
+
+TEST(KFilter2DTest, TreeMatchesScanWithEqualFarTies) {
+  // Concentric disks and squares around the query share far points, and
+  // each region appears twice.
+  Dataset2D data;
+  ObjectId id = 0;
+  for (int rep = 0; rep < 2; ++rep) {
+    for (int r = 1; r <= 15; ++r) {
+      data.emplace_back(id++, Circle2{100.0, 100.0, 1.0 * r});
+      data.emplace_back(id++, Rect2{100.0 - r, 100.0 - r, 100.0 + r,
+                                    100.0 + r});
+      data.emplace_back(id++, Circle2{100.0 + r, 100.0, 0.5 * r});
+    }
+  }
+  CheckKFilter2D(data, {{100.0, 100.0}, {103.0, 97.0}, {-40.0, 250.0}});
 }
 
 }  // namespace

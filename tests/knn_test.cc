@@ -2,16 +2,175 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <random>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
+#include "common/integrate.h"
+#include "common/piecewise.h"
 #include "common/rng.h"
 #include "core/basic.h"
+#include "core/cdf_batch.h"
+#include "core/classifier.h"
 #include "core/monte_carlo.h"
+#include "core/simd.h"
 #include "uncertain/pdf.h"
 
 namespace pverify {
 namespace {
+
+// --- Frozen reference evaluator ---------------------------------------------
+//
+// The per-candidate evaluator the segment sweep replaced, kept verbatim as
+// the oracle: for every candidate, every quadrature node recomputes all
+// |C| cdfs and reruns the whole truncated Poisson-binomial DP. The sweep
+// must reproduce its ids, bound bits and counters exactly.
+namespace reference {
+
+double AtMostBelow(const CandidateSet& cands, size_t i, double r, int limit,
+                   double* gather) {
+  std::vector<double> dp(static_cast<size_t>(limit) + 1, 0.0);
+  dp[0] = 1.0;
+  const bool batched = SimdKernelsEnabled();
+  if (batched) CdfAcrossCandidates(cands, r, gather);
+  for (size_t k = 0; k < cands.size(); ++k) {
+    if (k == i) continue;
+    const double p = batched ? gather[k] : cands[k].dist.Cdf(r);
+    if (p <= 0.0) continue;
+    for (int t = limit; t >= 1; --t) {
+      dp[t] = dp[t] * (1.0 - p) + dp[t - 1] * p;
+    }
+    dp[0] *= 1.0 - p;
+  }
+  double sum = 0.0;
+  for (double v : dp) sum += v;
+  return std::min(1.0, sum);
+}
+
+std::vector<double> GlobalBreakpoints(const CandidateSet& candidates) {
+  std::vector<double> breaks;
+  for (const Candidate& c : candidates.items()) {
+    breaks.insert(breaks.end(), c.dist.breakpoints().begin(),
+                  c.dist.breakpoints().end());
+  }
+  return SortedUnique(std::move(breaks), 1e-12);
+}
+
+double ExactKnnProbability(const CandidateSet& candidates, size_t i, int k,
+                           double fk, const std::vector<double>& breaks,
+                           const IntegrationOptions& options) {
+  const Candidate& cand = candidates[i];
+  const double a = cand.dist.near();
+  const double b = std::min(cand.dist.far(), fk);
+  if (b <= a) return 0.0;
+  std::vector<double> gather(candidates.size());
+  auto f = [&candidates, i, k, &gather](double r) {
+    double d = candidates[i].dist.Density(r);
+    if (d == 0.0) return 0.0;
+    return d * AtMostBelow(candidates, i, r, k - 1, gather.data());
+  };
+  return std::clamp(
+      IntegrateWithBreakpoints(f, a, b, breaks, options.gauss_points), 0.0,
+      1.0);
+}
+
+std::vector<double> ComputeKnnProbabilities(
+    const CandidateSet& candidates, int k, const IntegrationOptions& options) {
+  PV_CHECK_MSG(k >= 1, "k must be positive");
+  const size_t n = candidates.size();
+  std::vector<double> probs(n, 0.0);
+  if (n == 0) return probs;
+  if (static_cast<size_t>(k) >= n) {
+    std::fill(probs.begin(), probs.end(), 1.0);
+    return probs;
+  }
+  const double fk = KthFarPoint(candidates, k);
+  std::vector<double> breaks = GlobalBreakpoints(candidates);
+  for (size_t i = 0; i < n; ++i) {
+    probs[i] = ExactKnnProbability(candidates, i, k, fk, breaks, options);
+  }
+  return probs;
+}
+
+CknnAnswer EvaluateCknn(const CandidateSet& candidates, int k,
+                        const CpnnParams& params,
+                        const IntegrationOptions& options) {
+  params.Validate();
+  CknnAnswer answer;
+  const size_t n = candidates.size();
+  answer.bounds.assign(n, ProbabilityBound{0.0, 1.0});
+  if (n == 0) return answer;
+  if (static_cast<size_t>(k) >= n) {
+    for (size_t i = 0; i < n; ++i) {
+      answer.bounds[i] = ProbabilityBound{1.0, 1.0};
+      answer.ids.push_back(candidates[i].id);
+    }
+    return answer;
+  }
+
+  const double fk = KthFarPoint(candidates, k);
+  const std::vector<double> ub = KnnRsUpperBounds(candidates, k);
+  const std::vector<double> breaks = GlobalBreakpoints(candidates);
+  std::vector<double> gather(n);
+
+  for (size_t i = 0; i < n; ++i) {
+    ProbabilityBound& bound = answer.bounds[i];
+    bound.Tighten(0.0, ub[i]);
+    if (Classify(bound, params) == Label::kFail) {
+      ++answer.pruned_by_bound;
+      continue;
+    }
+    const Candidate& cand = candidates[i];
+    const double a = cand.dist.near();
+    const double b = std::min(cand.dist.far(), fk);
+    auto f = [&candidates, i, k, &gather](double r) {
+      double d = candidates[i].dist.Density(r);
+      if (d == 0.0) return 0.0;
+      return d * AtMostBelow(candidates, i, r, k - 1, gather.data());
+    };
+    const double cdf_b = cand.dist.Cdf(b);
+
+    double partial = 0.0;
+    double prev = a;
+    Label label = Label::kUnknown;
+    auto it = std::upper_bound(breaks.begin(), breaks.end(), a);
+    bool done = false;
+    while (!done) {
+      double next;
+      if (it != breaks.end() && *it < b) {
+        next = *it;
+        ++it;
+      } else {
+        next = b;
+        done = true;
+      }
+      if (next <= prev) continue;
+      partial += GaussLegendre(f, prev, next, options.gauss_points);
+      ++answer.segments_evaluated;
+      prev = next;
+      double remaining = std::max(0.0, cdf_b - cand.dist.Cdf(prev));
+      bound.Tighten(std::clamp(partial, 0.0, 1.0),
+                    std::clamp(partial + remaining, 0.0, 1.0));
+      label = Classify(bound, params);
+      if (label != Label::kUnknown) {
+        if (!done) ++answer.early_decided;
+        break;
+      }
+    }
+    if (label == Label::kUnknown) {
+      bound.Tighten(bound.upper, bound.upper);
+      label = Classify(bound, params);
+    }
+    if (label == Label::kSatisfy) answer.ids.push_back(candidates[i].id);
+  }
+  return answer;
+}
+
+}  // namespace reference
+
 
 CandidateSet MakeCandidates(int n, uint64_t seed) {
   Rng rng(seed);
@@ -188,6 +347,178 @@ TEST(CknnTest, ToleranceAdmitsBorderlineMembers) {
     if (exact[i] >= 0.4 + 1e-6) EXPECT_TRUE(returned) << "i=" << i;
     if (exact[i] < 0.4 - 0.1 - 1e-6) EXPECT_FALSE(returned) << "i=" << i;
   }
+}
+
+// --- Sweep == frozen reference, bit for bit ---------------------------------
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectIdentical(const CknnAnswer& want, const CknnAnswer& got,
+                     const std::string& what) {
+  EXPECT_EQ(want.ids, got.ids) << what;
+  EXPECT_EQ(want.pruned_by_bound, got.pruned_by_bound) << what;
+  EXPECT_EQ(want.early_decided, got.early_decided) << what;
+  EXPECT_EQ(want.segments_evaluated, got.segments_evaluated) << what;
+  ASSERT_EQ(want.bounds.size(), got.bounds.size()) << what;
+  for (size_t i = 0; i < want.bounds.size(); ++i) {
+    EXPECT_TRUE(SameBits(want.bounds[i].lower, got.bounds[i].lower) &&
+                SameBits(want.bounds[i].upper, got.bounds[i].upper))
+        << what << " bound " << i << ": want [" << want.bounds[i].lower
+        << ", " << want.bounds[i].upper << "] got [" << got.bounds[i].lower
+        << ", " << got.bounds[i].upper << "]";
+  }
+}
+
+void ExpectIdentical(const std::vector<double>& want,
+                     const std::vector<double>& got, const std::string& what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(SameBits(want[i], got[i]))
+        << what << " p[" << i << "]: want " << want[i] << " got " << got[i];
+  }
+}
+
+enum class PdfShape { kUniform, kGaussian };
+
+// Overlapping objects around a random query point, every object kept (the
+// k-aware pruning at k = n keeps the full set).
+CandidateSet MakeShapedCandidates(int n, PdfShape shape, uint64_t seed) {
+  Rng rng(seed);
+  Dataset data;
+  for (int i = 0; i < n; ++i) {
+    const double lo = rng.Uniform(0.0, 20.0);
+    const double hi = lo + rng.Uniform(1.0, 10.0);
+    data.emplace_back(i, shape == PdfShape::kUniform
+                             ? MakeUniformPdf(lo, hi)
+                             : MakeGaussianPdf(lo, hi, /*bars=*/24));
+  }
+  std::vector<uint32_t> idx;
+  for (int i = 0; i < n; ++i) idx.push_back(i);
+  return CandidateSet::Build1D(data, idx, rng.Uniform(0.0, 25.0), n);
+}
+
+// Small k, k = |C| − 1 (the deepest DP) and k >= |C| (the certain-
+// membership shortcut).
+std::vector<int> KSweep(size_t n) {
+  std::vector<int> ks = {1, 2, 4, 8, static_cast<int>(n) - 1,
+                         static_cast<int>(n), static_cast<int>(n) + 3};
+  ks.erase(std::remove_if(ks.begin(), ks.end(), [](int k) { return k < 1; }),
+           ks.end());
+  return ks;
+}
+
+void CheckAgainstReference(const CandidateSet& cands, const std::string& tag,
+                           KnnWorkspace* ws) {
+  const CpnnParams params_list[] = {{0.3, 0.01}, {0.1, 0.0}, {0.6, 0.05}};
+  const int gauss_list[] = {16, 4};
+  for (int k : KSweep(cands.size())) {
+    for (int g : gauss_list) {
+      IntegrationOptions opt;
+      opt.gauss_points = g;
+      const std::string what =
+          tag + " k=" + std::to_string(k) + " G=" + std::to_string(g);
+      ExpectIdentical(reference::ComputeKnnProbabilities(cands, k, opt),
+                      ComputeKnnProbabilities(cands, k, opt, ws),
+                      what + " probabilities");
+      for (const CpnnParams& params : params_list) {
+        ExpectIdentical(
+            reference::EvaluateCknn(cands, k, params, opt),
+            EvaluateCknn(cands, k, params, opt, ws),
+            what + " P=" + std::to_string(params.threshold) +
+                " D=" + std::to_string(params.tolerance));
+      }
+    }
+  }
+}
+
+TEST(KnnSweepTest, MatchesReferenceOnUniformPdfs) {
+  KnnWorkspace ws;  // reused across every call, as a worker's scratch is
+  for (uint64_t seed : {101ULL, 103ULL, 107ULL}) {
+    CandidateSet cands = MakeShapedCandidates(40, PdfShape::kUniform, seed);
+    CheckAgainstReference(cands, "uniform seed=" + std::to_string(seed), &ws);
+  }
+}
+
+TEST(KnnSweepTest, MatchesReferenceOnGaussianPdfs) {
+  for (uint64_t seed : {109ULL, 113ULL}) {
+    CandidateSet cands = MakeShapedCandidates(16, PdfShape::kGaussian, seed);
+    CheckAgainstReference(cands, "gaussian seed=" + std::to_string(seed),
+                          nullptr);
+  }
+}
+
+TEST(KnnSweepTest, MatchesReferenceOnUnsortedCandidateSets) {
+  // A set reordered after construction is no longer ascending by near
+  // point; the sweep then folds every candidate at every node.
+  CandidateSet cands = MakeShapedCandidates(30, PdfShape::kUniform, 127);
+  std::mt19937 shuffle_rng(5);
+  std::shuffle(cands.items().begin(), cands.items().end(), shuffle_rng);
+  CheckAgainstReference(cands, "shuffled", nullptr);
+}
+
+TEST(KnnSweepTest, MatchesReferenceWhenBreakpointsCollide) {
+  // Endpoints on a coarse grid, jittered by far less than the 1e-12
+  // breakpoint de-duplication: many candidates' near and far points are
+  // merged into a neighbour's, so their first and last pieces are not
+  // whole global segments and are integrated on their own.
+  for (uint64_t seed : {149ULL, 151ULL}) {
+    Rng rng(seed);
+    Dataset data;
+    for (int i = 0; i < 30; ++i) {
+      const double lo = std::floor(rng.Uniform(0.0, 12.0)) +
+                        rng.Uniform(-4e-13, 4e-13);
+      const double hi = lo + std::floor(rng.Uniform(1.0, 6.0)) +
+                        rng.Uniform(-4e-13, 4e-13);
+      data.emplace_back(i, MakeUniformPdf(lo, hi));
+    }
+    std::vector<uint32_t> idx;
+    for (int i = 0; i < 30; ++i) idx.push_back(i);
+    for (double q : {-1.0, 6.5}) {
+      CandidateSet cands = CandidateSet::Build1D(data, idx, q, 30);
+      CheckAgainstReference(cands,
+                            "collide seed=" + std::to_string(seed) +
+                                " q=" + std::to_string(q),
+                            nullptr);
+    }
+  }
+}
+
+TEST(KnnSweepTest, OverBudgetSegmentsFallBackToDirectEvaluation) {
+  // Prefix states of one segment take G·rows·k doubles, rows being one
+  // more than the largest index among the segment's candidates. With
+  // |C| = 60 and k = 55, a segment is over budget once that index reaches
+  // 37 and runs the DP from scratch; segments below keep the prefixes, so
+  // both paths run in one query.
+  CandidateSet cands = MakeShapedCandidates(60, PdfShape::kUniform, 131);
+  const int k = 55;
+  ASSERT_EQ(cands.size(), 60u);
+  ASSERT_GT(16 * cands.size() * static_cast<size_t>(k),
+            kKnnPrefixBudgetDoubles);
+  ASSERT_LT(16 * 30 * static_cast<size_t>(k), kKnnPrefixBudgetDoubles);
+  const IntegrationOptions opt;
+  KnnWorkspace ws;
+  for (const CpnnParams& params : {CpnnParams{0.3, 0.0},
+                                   CpnnParams{0.95, 0.01}}) {
+    ExpectIdentical(reference::EvaluateCknn(cands, k, params, opt),
+                    EvaluateCknn(cands, k, params, opt, &ws),
+                    "over budget P=" + std::to_string(params.threshold));
+  }
+  ExpectIdentical(reference::ComputeKnnProbabilities(cands, k, opt),
+                  ComputeKnnProbabilities(cands, k, opt, &ws),
+                  "over budget probabilities");
+}
+
+TEST(KnnSweepTest, WorkspaceReuseDoesNotChangeAnswers) {
+  KnnWorkspace ws;
+  CandidateSet big = MakeShapedCandidates(40, PdfShape::kUniform, 137);
+  CandidateSet small = MakeShapedCandidates(9, PdfShape::kGaussian, 139);
+  const CpnnParams params{0.3, 0.01};
+  const CknnAnswer fresh = EvaluateCknn(small, 3, params, {});
+  EvaluateCknn(big, 8, params, {}, &ws);  // grows every buffer
+  ExpectIdentical(fresh, EvaluateCknn(small, 3, params, {}, &ws), "reuse");
+  EXPECT_GT(ws.ApproxBytes(), 0u);
 }
 
 }  // namespace
