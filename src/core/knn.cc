@@ -73,6 +73,7 @@ class KnnSweep {
     ws_.labels.assign(n_, Label::kUnknown);
     ws_.live.clear();
     ws_.dp.resize(states_ * G);
+    ws_.prefix.resize(states_ * G);
     sorted_ = std::is_sorted(
         cands_.items().begin(), cands_.items().end(),
         [](const Candidate& x, const Candidate& y) {
@@ -162,10 +163,11 @@ class KnnSweep {
   }
 
   // Gauss-Legendre over candidate i's piece, whose nodes are in nodes_ and
-  // cdfs in the workspace: at every node the DP over the other candidates starts
-  // from prefix state i when `prefixed` (see BuildPrefixes), else from
-  // scratch, and yields P[at most k−1 of them are below the node].
-  double PieceIntegral(size_t i, double half, size_t m, bool prefixed) {
+  // cdfs in the workspace: at every node the DP over the other candidates
+  // resumes from `prefix`, the state after folding candidates [0, i), or
+  // starts from scratch when it is null, and yields P[at most k−1 of them
+  // are below the node].
+  double PieceIntegral(size_t i, double half, size_t m, const double* prefix) {
     double density[G];
     bool any = false;
     for (size_t j = 0; j < G; ++j) {
@@ -175,13 +177,11 @@ class KnnSweep {
     double* dp = ws_.dp.data();
     if (any) {
       size_t from = 0;
-      if (prefixed) {
-        const double* state = &ws_.prefix[i * states_ * G];
-        std::copy(state, state + states_ * G, dp);
+      if (prefix != nullptr) {
+        std::copy(prefix, prefix + states_ * G, dp);
         from = i + 1;
       } else {
-        std::fill(dp, dp + states_ * G, 0.0);
-        std::fill(dp, dp + G, 1.0);
+        ResetState(dp);
       }
       for (size_t c = from; c < m; ++c) {
         if (c != i) FoldIn<G>(dp, limit_, &ws_.cdfs[c * G]);
@@ -200,18 +200,10 @@ class KnnSweep {
     return sum * half;
   }
 
-  // DP states after each prefix [0, i) of the candidate order, i < rows:
-  // prefix[(i·states + t)·G + j].
-  void BuildPrefixes(size_t rows) {
-    const size_t stride = states_ * G;
-    ws_.prefix.resize(rows * stride);
-    double* state = ws_.prefix.data();
-    std::fill(state, state + stride, 0.0);
+  // The DP state of the empty prefix: P[0 below] = 1 in every lane.
+  void ResetState(double* state) const {
+    std::fill(state, state + states_ * G, 0.0);
     std::fill(state, state + G, 1.0);
-    for (size_t i = 0; i + 1 < rows; ++i, state += stride) {
-      std::copy(state, state + stride, state + stride);
-      FoldIn<G>(state + stride, limit_, &ws_.cdfs[i * G]);
-    }
   }
 
   // Integrates piece by piece in ascending order of the global segment each
@@ -225,7 +217,7 @@ class KnnSweep {
       }
       // Candidates whose current piece is exactly global segment
       // [breaks[cursor−1], breaks[cursor]] share its nodes, cdfs and
-      // prefix states; any other piece at this cursor is integrated alone.
+      // prefix state; any other piece at this cursor is integrated alone.
       ws_.shared.clear();
       for (size_t i : ws_.live) {
         const KnnWorkspace::Track& t = ws_.tracks[i];
@@ -239,22 +231,26 @@ class KnnSweep {
           const double half = PlaceNodes(rule_, t.prev, end, nodes_);
           const size_t m = ActiveCount(nodes_[G - 1], 0);
           GatherCdfs(m);
-          Advance(i, PieceIntegral(i, half, m, /*prefixed=*/false), end, done);
+          Advance(i, PieceIntegral(i, half, m, /*prefix=*/nullptr), end, done);
         }
       }
       if (!ws_.shared.empty()) {
         const double half = PlaceNodes(rule_, breaks[cursor - 1],
                                        breaks[cursor], nodes_);
-        const size_t rows = ws_.shared.back() + 1;
-        const size_t m = ActiveCount(nodes_[G - 1], rows);
+        const size_t m = ActiveCount(nodes_[G - 1], ws_.shared.back() + 1);
         GatherCdfs(m);
-        const bool prefixed = G * rows * states_ <= kKnnPrefixBudgetDoubles;
-        if (prefixed) BuildPrefixes(rows);
+        // shared is ascending, so one running prefix serves every
+        // candidate: fold up to i, let i resume from it, move on.
+        double* prefix = ws_.prefix.data();
+        ResetState(prefix);
+        size_t folded = 0;
         for (size_t i : ws_.shared) {
+          for (; folded < i; ++folded) {
+            FoldIn<G>(prefix, limit_, &ws_.cdfs[folded * G]);
+          }
           bool done;
           PieceEnd(ws_.tracks[i], &done);
-          Advance(i, PieceIntegral(i, half, m, prefixed), breaks[cursor],
-                  done);
+          Advance(i, PieceIntegral(i, half, m, prefix), breaks[cursor], done);
         }
       }
       // Drop the candidates that finished or were decided.
@@ -377,8 +373,7 @@ std::vector<double> KnnRsUpperBounds(const CandidateSet& candidates, int k) {
 
 std::vector<double> ComputeKnnProbabilities(const CandidateSet& candidates,
                                             int k,
-                                            const IntegrationOptions& options,
-                                            KnnWorkspace* workspace) {
+                                            const IntegrationOptions& options) {
   PV_CHECK_MSG(k >= 1, "k must be positive");
   const size_t n = candidates.size();
   std::vector<double> probs(n, 0.0);
@@ -389,7 +384,8 @@ std::vector<double> ComputeKnnProbabilities(const CandidateSet& candidates,
     return probs;
   }
   const double fk = KthFarPoint(candidates, k);
-  RunSweep(candidates, k, options.gauss_points, /*params=*/nullptr, workspace,
+  RunSweep(candidates, k, options.gauss_points, /*params=*/nullptr,
+           /*workspace=*/nullptr,
            [&](auto& sweep) { sweep.Integrate(fk, &probs); });
   return probs;
 }

@@ -24,22 +24,19 @@
 // the pieces of [n_i, min(f_i, f^(k))] that those breakpoints cut, with
 // Gauss-Legendre on every piece, so most pieces are exactly a global
 // segment that many candidates share. For such a segment and each of its
-// G quadrature nodes r the sweep computes once
-//
-//  * the cdfs D_j(r) of the candidates with near point below r (the set is
-//    ordered by near point, so every later candidate has D_j(r) = 0 and
-//    drops out of the DP), and
-//  * the DP state after each prefix j < i of the candidate order,
-//
-// and every undecided candidate i on the segment resumes the DP from
-// prefix state i, folding in only its own suffix. The DP therefore sees
-// the same probabilities in the same order as a per-candidate evaluation
-// would, and each candidate sums its own nodes and segments in the same
-// order: answers, bounds and counters are bit-identical to evaluating the
-// candidates one by one. The prefix states take O(G·|C|·k) doubles per
-// segment; a segment whose states would exceed kKnnPrefixBudgetDoubles,
-// and a candidate's first or last piece when it is not a whole global
-// segment, run the DP from the start instead.
+// G quadrature nodes r the sweep gathers once the cdfs D_j(r) of the
+// candidates with near point below r (the set is ordered by near point, so
+// every later candidate has D_j(r) = 0 and drops out of the DP). It then
+// walks the segment's undecided candidates in candidate order with one
+// running DP state: it folds candidates in up to candidate i, lets i resume
+// from that state and fold in only its own suffix, and moves on. The DP
+// therefore sees the same probabilities in the same order as a
+// per-candidate evaluation would, and each candidate sums its own nodes and
+// segments in the same order: answers, bounds and counters are
+// bit-identical to evaluating the candidates one by one. The workspace
+// holds the segment's cdfs, O(G·|C|) doubles, and two DP states of O(G·k).
+// A candidate's first or last piece that is not a whole global segment
+// runs the DP from the start.
 #ifndef PVERIFY_CORE_KNN_H_
 #define PVERIFY_CORE_KNN_H_
 
@@ -51,11 +48,6 @@
 #include "core/types.h"
 
 namespace pverify {
-
-/// Per-segment ceiling on the sweep's prefix-state workspace (doubles,
-/// 256 KiB, sized to stay in a core's L2). A |C| ≈ 115, k = 4, G = 16
-/// query needs about 7.4k.
-inline constexpr size_t kKnnPrefixBudgetDoubles = size_t{1} << 15;
 
 /// Reusable storage of the k-NN sweep, owned by a QueryScratch (one per
 /// worker). Passing nullptr where a KnnWorkspace* is accepted allocates a
@@ -77,7 +69,7 @@ struct KnnWorkspace {
   std::vector<size_t> live;        ///< undecided candidates, ascending
   std::vector<size_t> shared;      ///< candidates on the current segment
   std::vector<double> cdfs;        ///< D_j(node), candidate-major
-  std::vector<double> prefix;      ///< DP state after each prefix, per node
+  std::vector<double> prefix;      ///< running prefix's DP state, per node
   std::vector<double> dp;          ///< one candidate's running DP state
 
   /// Approximate heap footprint (capacity, not size).
@@ -96,8 +88,7 @@ std::vector<double> KnnRsUpperBounds(const CandidateSet& candidates, int k);
 /// every candidate to completion). k = 1 reduces to the PNN probabilities.
 std::vector<double> ComputeKnnProbabilities(const CandidateSet& candidates,
                                             int k,
-                                            const IntegrationOptions& options,
-                                            KnnWorkspace* workspace = nullptr);
+                                            const IntegrationOptions& options);
 
 /// Answer of a constrained k-NN query (threshold/tolerance semantics of
 /// Definition 1 applied to p_i^(k)).

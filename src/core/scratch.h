@@ -56,7 +56,7 @@ struct QueryScratch {
   std::vector<double> cdf_gather;
 
   /// Workspace of the k-NN segment sweep (global breakpoints, per-segment
-  /// cdfs and prefix DP states; see core/knn.h).
+  /// cdfs and the running prefix DP state; see core/knn.h).
   KnnWorkspace knn;
 
   /// Queries that borrowed this scratch so far (telemetry; bumped by

@@ -287,9 +287,11 @@ struct ShardedQueryEngine::KnnScatterPolicy {
                      const Timer& total) const {
     // Rebuild the (order-normalized) candidate set with the k-aware
     // pruning rule and evaluate the constrained k-NN once.
-    Timer refine_timer;
+    Timer gather_timer;
     CandidateSet candidates =
         CandidateSet::FromDistances(std::move(merged), k);
+    const double gather_ms = gather_timer.ElapsedMs();
+    Timer refine_timer;
     CknnAnswer answer =
         EvaluateCknn(candidates, k, options.params, options.integration,
                      scratch != nullptr ? &scratch->knn : nullptr);
@@ -298,7 +300,7 @@ struct ShardedQueryEngine::KnnScatterPolicy {
     result.stats.refine_ms = refine_timer.ElapsedMs();
     result.stats.total_ms = total.ElapsedMs();
     result.stats.filter_ms = filter_total;
-    result.stats.init_ms = build_total;
+    result.stats.init_ms = build_total + gather_ms;
     result.stats.dataset_size =
         Dim == 1 ? engine.total_objects_ : engine.total_objects2d_;
     result.stats.candidates = answer.bounds.size();

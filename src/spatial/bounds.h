@@ -52,18 +52,14 @@ inline double MbrMaxDistToBounds(double q, const DomainBounds& b) {
 /// UncertainObject::MinDist. Lower-bounds MinDist of every contained object.
 inline double IntervalMinDistToBounds(double q, const DomainBounds& b) {
   if (b.empty()) return std::numeric_limits<double>::infinity();
-  if (q < b.lo) return b.lo - q;
-  if (q > b.hi) return q - b.hi;
-  return 0.0;
+  return IntervalMinDist(b.lo, b.hi, q);
 }
 
 /// MAXDIST from q to the bounds, via the interval arithmetic of
 /// UncertainObject::MaxDist. Upper-bounds MaxDist of every contained object.
 inline double IntervalMaxDistToBounds(double q, const DomainBounds& b) {
   if (b.empty()) return -std::numeric_limits<double>::infinity();
-  double a = q - b.lo;
-  double c = b.hi - q;
-  return a > c ? a : c;
+  return IntervalMaxDist(b.lo, b.hi, q);
 }
 
 /// Bounding box of a 2-D uncertainty region — the exact boxes the 2-D

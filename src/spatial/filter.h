@@ -38,7 +38,8 @@ class PnnFilter {
   /// Builds an STR-bulk-loaded R-tree over the objects' intervals.
   explicit PnnFilter(const Dataset& dataset);
 
-  /// Runs the filtering phase for query point q.
+  /// Runs the filtering phase for query point q: FilterK(q, 1), i.e.
+  /// FilterByScan's result found through the R-tree.
   FilterResult Filter(double q) const;
 
   /// k-NN filtering (the C-PkNN extension): fmin becomes the k-th smallest
@@ -59,7 +60,6 @@ class PnnFilter {
 
  private:
   RTree<1, uint32_t> rtree_;
-  const Dataset* dataset_;  // not owned
 };
 
 /// Index over a 2-D dataset for repeated PNN filtering.
@@ -67,6 +67,7 @@ class PnnFilter2D {
  public:
   explicit PnnFilter2D(const Dataset2D& dataset);
 
+  /// FilterK(q, 1): FilterByScan2D's result, found through the R-tree.
   FilterResult Filter(Point2 q) const;
 
   /// 2-D k-NN filtering over exact region distances

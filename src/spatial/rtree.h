@@ -1,7 +1,7 @@
 // An in-memory R-tree supporting dynamic insertion (quadratic split) and STR
 // bulk loading, with the branch-and-bound searches required by the PNN
-// filtering phase of [8]: computing f_min = min_i MAXDIST(q, X_i) and
-// collecting every object whose MINDIST is within f_min.
+// filtering phase of [8]: finding the k smallest MAXDIST(q, X_i) (k = 1
+// gives f_min) and collecting every object whose MINDIST is within it.
 //
 // The tree is templated on dimensionality and the leaf payload type so the
 // same implementation indexes 1-D uncertainty intervals (the paper's focus)
@@ -96,40 +96,6 @@ class RTree {
     return out;
   }
 
-  /// Branch-and-bound computation of min over entries of MAXDIST(q, entry).
-  /// This is the f_min of the PNN filtering step: the far point of the
-  /// candidate whose far point is smallest. Returns +inf on an empty tree.
-  ///
-  /// Note on bounds: leaf entries store the exact uncertainty region, so
-  /// their MAXDIST is exact. For internal nodes, every object inside lies
-  /// within the node MBR, hence MAXDIST(q, node) upper-bounds the best far
-  /// point below it (the point-data MINMAXDIST bound does NOT apply to
-  /// extended objects and is deliberately not used here).
-  double MinFarPoint(const std::array<double, Dim>& q) const {
-    double best = std::numeric_limits<double>::infinity();
-    if (!root_) return best;
-    using Item = std::pair<double, const Node*>;  // (mindist, node)
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-    heap.emplace(root_->mbr.MinDist(q), root_.get());
-    while (!heap.empty()) {
-      auto [mind, node] = heap.top();
-      heap.pop();
-      if (mind > best) continue;  // no entry below can beat best
-      if (node->leaf) {
-        for (const Entry& e : node->entries) {
-          best = std::min(best, e.mbr.MaxDist(q));
-        }
-      } else {
-        for (const auto& child : node->children) {
-          best = std::min(best, child->mbr.MaxDist(q));
-          double child_mind = child->mbr.MinDist(q);
-          if (child_mind <= best) heap.emplace(child_mind, child.get());
-        }
-      }
-    }
-    return best;
-  }
-
   /// The min(k, size()) smallest far distances over all entries,
   /// ascending — the k-th far point of the k-NN filter. `leaf_far(entry)`
   /// returns an entry's far distance from q (its exact region geometry,
@@ -176,20 +142,26 @@ class RTree {
     return best;
   }
 
-  /// Entries whose MINDIST(q, entry) <= radius, i.e. the ball-overlap query
-  /// used to retrieve the PNN candidate set.
+  /// Payloads of the entries with leaf_min(entry) <= radius, the
+  /// ball-overlap query that retrieves the candidate set. `leaf_min(entry)`
+  /// returns an entry's near distance from q (its exact region geometry,
+  /// which the MBR only bounds); it is never below the entry's MBR MINDIST
+  /// beyond the rounding WidenForRounding covers, so nodes whose MINDIST
+  /// exceeds the widened radius are skipped.
+  template <typename LeafMin>
   std::vector<Value> WithinDistance(const std::array<double, Dim>& q,
-                                    double radius) const {
+                                    double radius, LeafMin&& leaf_min) const {
     std::vector<Value> out;
     if (!root_) return out;
+    const double node_radius = WidenForRounding(radius);
     std::vector<const Node*> stack = {root_.get()};
     while (!stack.empty()) {
       const Node* node = stack.back();
       stack.pop_back();
-      if (node->mbr.MinDist(q) > radius) continue;
+      if (node->mbr.MinDist(q) > node_radius) continue;
       if (node->leaf) {
         for (const Entry& e : node->entries) {
-          if (e.mbr.MinDist(q) <= radius) out.push_back(e.value);
+          if (leaf_min(e) <= radius) out.push_back(e.value);
         }
       } else {
         for (const auto& child : node->children) {
@@ -198,6 +170,13 @@ class RTree {
       }
     }
     return out;
+  }
+
+  /// Entries whose MINDIST(q, entry) <= radius.
+  std::vector<Value> WithinDistance(const std::array<double, Dim>& q,
+                                    double radius) const {
+    return WithinDistance(q, radius,
+                          [&q](const Entry& e) { return e.mbr.MinDist(q); });
   }
 
   /// k nearest entries by MINDIST (best-first). Ties broken arbitrarily.

@@ -13,6 +13,20 @@ namespace pverify {
 
 using ObjectId = int64_t;
 
+/// Minimum possible |x - q| over x in [lo, hi].
+inline double IntervalMinDist(double lo, double hi, double q) {
+  if (q < lo) return lo - q;
+  if (q > hi) return q - hi;
+  return 0.0;
+}
+
+/// Maximum possible |x - q| over x in [lo, hi].
+inline double IntervalMaxDist(double lo, double hi, double q) {
+  double a = q - lo;
+  double b = hi - q;
+  return a > b ? a : b;
+}
+
 /// An uncertain 1-D object X_i: the actual value lies in [lo(), hi()] with
 /// density pdf(). The uncertainty region is the pdf's support.
 class UncertainObject {
@@ -26,18 +40,10 @@ class UncertainObject {
 
   /// Minimum possible |X - q| (the near point n_i of Def. 3, for the
   /// distance distribution rooted at q).
-  double MinDist(double q) const {
-    if (q < lo()) return lo() - q;
-    if (q > hi()) return q - hi();
-    return 0.0;
-  }
+  double MinDist(double q) const { return IntervalMinDist(lo(), hi(), q); }
 
   /// Maximum possible |X - q| (the far point f_i of Def. 3).
-  double MaxDist(double q) const {
-    double a = q - lo();
-    double b = hi() - q;
-    return a > b ? a : b;
-  }
+  double MaxDist(double q) const { return IntervalMaxDist(lo(), hi(), q); }
 
  private:
   ObjectId id_;

@@ -107,14 +107,14 @@ TEST(Filter2DTest, CircleFarPointTighterThanMbr) {
   EXPECT_EQ(r.candidates, (std::vector<uint32_t>{0}));
 }
 
-// --- k-NN filtering through the R-tree vs. the reference scan ------------
+// --- Point and k-NN filtering through the R-tree vs. the reference scans --
 
 std::vector<int> KSweep(size_t n) {
   return {1, 2, 4, 17, static_cast<int>(n) - 1, static_cast<int>(n),
           static_cast<int>(n) + 5};
 }
 
-// Bit-exact: the same k-th far point and the same ascending candidates.
+// Bit-exact: the same (k-th) far point and the same ascending candidates.
 void ExpectSameKFilter(const FilterResult& tree, const FilterResult& scan,
                        const std::string& what) {
   EXPECT_EQ(tree.fmin, scan.fmin) << what;
@@ -124,6 +124,8 @@ void ExpectSameKFilter(const FilterResult& tree, const FilterResult& scan,
 void CheckKFilter1D(const Dataset& data, const std::vector<double>& qs) {
   PnnFilter filter(data);
   for (double q : qs) {
+    ExpectSameKFilter(filter.Filter(q), FilterByScan(data, q),
+                      "point q=" + std::to_string(q));
     for (int k : KSweep(data.size())) {
       if (k < 1) continue;
       ExpectSameKFilter(filter.FilterK(q, k), FilterKByScan(data, q, k),
@@ -165,6 +167,19 @@ TEST(KFilterTest, TreeMatchesScanWithEqualFarTies) {
   CheckKFilter1D(data, {50.0, 49.5, 0.0, 120.0});
 }
 
+TEST(KFilterTest, TreeMatchesScanOnBoundaryObjects) {
+  // Abutting unit and double-width intervals on an integer grid: at grid
+  // and half-grid q many near points equal the (k-th) far point exactly,
+  // so the candidate sets hinge on the boundary comparison.
+  Dataset data;
+  ObjectId id = 0;
+  for (int i = 0; i < 30; ++i) {
+    data.emplace_back(id++, MakeUniformPdf(i, i + 1.0));
+    data.emplace_back(id++, MakeUniformPdf(i, i + 2.0));
+  }
+  CheckKFilter1D(data, {5.0, 5.5, 12.0, 0.0, -2.0, 32.0});
+}
+
 TEST(KFilterTest, TreeMatchesScanOnTinyDatasets) {
   CheckKFilter1D(SmallDataset(), {-3.0, 1.5, 4.5, 11.0, 30.0});
   Dataset single;
@@ -185,6 +200,9 @@ TEST(KFilterTest, EmptyDatasetAndInvalidK) {
 void CheckKFilter2D(const Dataset2D& data, const std::vector<Point2>& qs) {
   PnnFilter2D filter(data);
   for (Point2 q : qs) {
+    ExpectSameKFilter(filter.Filter(q), FilterByScan2D(data, q),
+                      "point q=(" + std::to_string(q.x) + "," +
+                          std::to_string(q.y) + ")");
     for (int k : KSweep(data.size())) {
       if (k < 1) continue;
       ExpectSameKFilter(filter.FilterK(q, k), FilterKByScan2D(data, q, k),
@@ -207,6 +225,19 @@ TEST(KFilter2DTest, TreeMatchesScanOnRandomQueries) {
 TEST(KFilter2DTest, TreeMatchesScanOutsideTheDomain) {
   Dataset2D data = datagen::MakeSynthetic2D({.count = 800, .seed = 11});
   CheckKFilter2D(data, {{-500.0, -500.0}, {1500.0, 300.0}, {500.0, 2e5}});
+}
+
+TEST(KFilter2DTest, TreeMatchesScanOnBoundaryObjects) {
+  // Abutting unit squares: at a cell corner or centre, neighbouring cells'
+  // near points equal far points of others exactly.
+  Dataset2D data;
+  ObjectId id = 0;
+  for (int x = 0; x < 12; ++x) {
+    for (int y = 0; y < 12; ++y) {
+      data.emplace_back(id++, Rect2{1.0 * x, 1.0 * y, x + 1.0, y + 1.0});
+    }
+  }
+  CheckKFilter2D(data, {{5.0, 5.0}, {5.5, 5.5}, {0.0, 6.0}, {-3.0, 4.0}});
 }
 
 TEST(KFilter2DTest, TreeMatchesScanWithEqualFarTies) {

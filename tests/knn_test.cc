@@ -420,7 +420,7 @@ void CheckAgainstReference(const CandidateSet& cands, const std::string& tag,
       const std::string what =
           tag + " k=" + std::to_string(k) + " G=" + std::to_string(g);
       ExpectIdentical(reference::ComputeKnnProbabilities(cands, k, opt),
-                      ComputeKnnProbabilities(cands, k, opt, ws),
+                      ComputeKnnProbabilities(cands, k, opt),
                       what + " probabilities");
       for (const CpnnParams& params : params_list) {
         ExpectIdentical(
@@ -485,29 +485,24 @@ TEST(KnnSweepTest, MatchesReferenceWhenBreakpointsCollide) {
   }
 }
 
-TEST(KnnSweepTest, OverBudgetSegmentsFallBackToDirectEvaluation) {
-  // Prefix states of one segment take G·rows·k doubles, rows being one
-  // more than the largest index among the segment's candidates. With
-  // |C| = 60 and k = 55, a segment is over budget once that index reaches
-  // 37 and runs the DP from scratch; segments below keep the prefixes, so
-  // both paths run in one query.
+TEST(KnnSweepTest, MatchesReferenceAtLargeK) {
+  // k = 55 of |C| = 60: the DP keeps 55 states per node, and the running
+  // prefix passes through most of the set before the last candidates of a
+  // segment resume from it.
   CandidateSet cands = MakeShapedCandidates(60, PdfShape::kUniform, 131);
   const int k = 55;
   ASSERT_EQ(cands.size(), 60u);
-  ASSERT_GT(16 * cands.size() * static_cast<size_t>(k),
-            kKnnPrefixBudgetDoubles);
-  ASSERT_LT(16 * 30 * static_cast<size_t>(k), kKnnPrefixBudgetDoubles);
   const IntegrationOptions opt;
   KnnWorkspace ws;
   for (const CpnnParams& params : {CpnnParams{0.3, 0.0},
                                    CpnnParams{0.95, 0.01}}) {
     ExpectIdentical(reference::EvaluateCknn(cands, k, params, opt),
                     EvaluateCknn(cands, k, params, opt, &ws),
-                    "over budget P=" + std::to_string(params.threshold));
+                    "large k P=" + std::to_string(params.threshold));
   }
   ExpectIdentical(reference::ComputeKnnProbabilities(cands, k, opt),
-                  ComputeKnnProbabilities(cands, k, opt, &ws),
-                  "over budget probabilities");
+                  ComputeKnnProbabilities(cands, k, opt),
+                  "large k probabilities");
 }
 
 TEST(KnnSweepTest, WorkspaceReuseDoesNotChangeAnswers) {

@@ -70,7 +70,9 @@ TEST(RTreeTest, EmptyTree) {
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.Height(), 0);
   EXPECT_TRUE(tree.CheckInvariants());
-  EXPECT_TRUE(std::isinf(tree.MinFarPoint({5.0})));
+  EXPECT_TRUE(tree.SmallestFarPoints({5.0}, 1, [](const auto& e) {
+                    return e.mbr.MaxDist({5.0});
+                  }).empty());
   EXPECT_TRUE(tree.WithinDistance({5.0}, 10.0).empty());
 }
 
@@ -121,17 +123,21 @@ TEST_P(RTreeQueryTest, RangeQueryMatchesBruteForce1D) {
   }
 }
 
-TEST_P(RTreeQueryTest, MinFarPointMatchesBruteForce) {
+TEST_P(RTreeQueryTest, SmallestFarPointsMatchBruteForce) {
   Rng rng(GetParam() + 100);
   auto entries = RandomIntervals(400, rng);
   auto tree = RTree<1, int>::BulkLoadSTR(entries);
   for (int t = 0; t < 25; ++t) {
     std::array<double, 1> q = {rng.Uniform(-100.0, 1100.0)};
-    double expect = std::numeric_limits<double>::infinity();
-    for (const auto& e : entries) {
-      expect = std::min(expect, e.mbr.MaxDist(q));
+    auto far = [&q](const RTree<1, int>::Entry& e) { return e.mbr.MaxDist(q); };
+    std::vector<double> expect;
+    for (const auto& e : entries) expect.push_back(far(e));
+    std::sort(expect.begin(), expect.end());
+    for (size_t k : {size_t{1}, size_t{7}, entries.size() + 1}) {
+      std::vector<double> want(expect.begin(),
+                               expect.begin() + std::min(k, expect.size()));
+      EXPECT_EQ(tree.SmallestFarPoints(q, k, far), want) << "k=" << k;
     }
-    EXPECT_NEAR(tree.MinFarPoint(q), expect, 1e-9);
   }
 }
 
@@ -193,7 +199,11 @@ TEST(RTree2DTest, QueriesMatchBruteForce) {
     for (const auto& e : entries) {
       expect_fmin = std::min(expect_fmin, e.mbr.MaxDist(q));
     }
-    EXPECT_NEAR(tree.MinFarPoint(q), expect_fmin, 1e-9);
+    EXPECT_EQ(tree.SmallestFarPoints(q, 1,
+                                     [&q](const RTree<2, int>::Entry& e) {
+                                       return e.mbr.MaxDist(q);
+                                     }),
+              std::vector<double>{expect_fmin});
 
     double radius = rng.Uniform(5.0, 80.0);
     std::set<int> expect;
