@@ -1,23 +1,22 @@
 // Engine throughput + single-query latency — batched execution vs. the
 // sequential query loop, and nested shard fan-out vs. the sequential
-// per-request shard scan.
+// per-request shard scan of a one-worker engine.
 //
 // Two experiments:
 //
 //  1. Batch throughput (the paper's §V-A setup: Long-Beach-like dataset,
 //     random query points, P=0.3, Δ=0.01, VR strategy): queries/sec of
-//     Engine::ExecuteBatch at 1/2/4/8 worker threads on BOTH worker pools
-//     (global-queue and work-stealing) against a plain CpnnExecutor loop.
-//     Work-stealing must not regress flat-batch throughput.
+//     Engine::ExecuteBatch at 1/2/4/8 worker threads against a plain
+//     CpnnExecutor loop.
 //
 //  2. Single-query latency: ONE expensive 2-D query (point and k-NN) on a
-//     4-shard ShardedQueryEngine, executed as a batch of one. On the
-//     global-queue pool the batch worker scans its shards sequentially;
-//     on the work-stealing pool the same request fans its shards out
-//     through a nested ParallelFor, so with 4+ workers the query's
-//     filter/candidate-build phases use every core. The speedup column is
-//     the direct before/after of the nested fan-out (≈1.0 on a 1-core
-//     host — there are no idle cores to steal the shard tasks).
+//     4-shard ShardedQueryEngine, executed as a batch of one. With one
+//     worker the batch worker scans its shards sequentially; with 4+
+//     workers the same request fans its shards out through a nested
+//     ParallelFor, so the query's filter/candidate-build phases use every
+//     core. The speedup column is the direct before/after of the nested
+//     fan-out (≈1.0 on a 1-core host — there are no idle cores to steal
+//     the shard tasks).
 //
 // Every timed region is repeated until it crosses the measurement floor
 // (PVERIFY_MIN_WALL_MS, default 100 ms) — sub-floor regions measure
@@ -79,11 +78,11 @@ LatencyPoint TimeSingleQuery(Engine& engine, const MakeRequest& make,
 int main() {
   bench::PrintHeader(
       "Engine throughput + single-query latency",
-      "Queries/sec of the batched engine at 1/2/4/8 worker threads on both\n"
-      "worker pools vs. a sequential CpnnExecutor loop (VR strategy, P=0.3,\n"
-      "Δ=0.01, uniform pdfs), then the latency of ONE expensive sharded 2-D\n"
-      "query with nested shard fan-out (work-stealing) vs. the sequential\n"
-      "shard scan (global-queue). Timed regions repeat to a ≥100 ms floor.");
+      "Queries/sec of the batched engine at 1/2/4/8 worker threads vs. a\n"
+      "sequential CpnnExecutor loop (VR strategy, P=0.3, Δ=0.01, uniform\n"
+      "pdfs), then the latency of ONE expensive sharded 2-D query with\n"
+      "nested shard fan-out vs. the sequential shard scan of a one-worker\n"
+      "engine. Timed regions repeat to a ≥100 ms floor.");
 
   const size_t queries = bench::QueriesFromEnv(200);
   const size_t dataset_size = bench::DatasetSizeFromEnv(20000);
@@ -114,13 +113,13 @@ int main() {
   // Warm-up pass so lazy initialization doesn't skew the baseline.
   bench::TimeSequentialLoop(env.executor, env.query_points, opt);
 
-  ResultTable table({"threads", "pool", "reps", "wall_ms",
+  ResultTable table({"threads", "reps", "wall_ms",
                      "queries_per_sec", "batch_speedup", "avg_query_ms"},
                     "engine_throughput.csv");
 
   bench::ThroughputPoint sequential = bench::TimeSequentialLoopFloored(
       env.executor, env.query_points, opt, min_wall_ms);
-  table.AddRow({"seq", "-", std::to_string(sequential.reps),
+  table.AddRow({"seq", std::to_string(sequential.reps),
                 FormatDouble(sequential.wall_ms, 2),
                 FormatDouble(sequential.Qps(), 1), FormatDouble(1.0, 2),
                 FormatDouble(sequential.wall_ms / sequential.queries, 4)});
@@ -133,33 +132,26 @@ int main() {
   json.Field("qps", sequential.Qps());
   json.Field("speedup", 1.0);
 
-  for (PoolKind pool : {PoolKind::kGlobalQueue, PoolKind::kWorkStealing}) {
-    for (size_t threads : thread_counts) {
-      EngineOptions eopt;
-      eopt.num_threads = threads;
-      eopt.pool = pool;
-      QueryEngine owned(env.dataset, eopt);
-      Engine& engine = owned;  // measured through the abstract interface
-      // Warm the per-worker scratches, then measure.
-      bench::TimeBatch(engine, env.query_points, opt);
-      bench::ThroughputPoint batched = bench::TimeBatchFloored(
-          engine, env.query_points, opt, min_wall_ms);
-      const double speedup = batched.Qps() / sequential.Qps();
-      table.AddRow({std::to_string(threads), std::string(ToString(pool)),
-                    std::to_string(batched.reps),
-                    FormatDouble(batched.wall_ms, 2),
-                    FormatDouble(batched.Qps(), 1), FormatDouble(speedup, 2),
-                    FormatDouble(batched.wall_ms / batched.queries, 4)});
-      json.BeginResult();
-      json.Field("section", "batch");
-      json.Field("name", "engine");
-      json.Field("pool", std::string(ToString(pool)));
-      json.Field("threads", static_cast<double>(threads));
-      json.Field("reps", static_cast<double>(batched.reps));
-      json.Field("wall_ms", batched.wall_ms);
-      json.Field("qps", batched.Qps());
-      json.Field("speedup", speedup);
-    }
+  for (size_t threads : thread_counts) {
+    QueryEngine owned(env.dataset, EngineOptions{threads});
+    Engine& engine = owned;  // measured through the abstract interface
+    // Warm the per-worker scratches, then measure.
+    bench::TimeBatch(engine, env.query_points, opt);
+    bench::ThroughputPoint batched =
+        bench::TimeBatchFloored(engine, env.query_points, opt, min_wall_ms);
+    const double speedup = batched.Qps() / sequential.Qps();
+    table.AddRow({std::to_string(threads), std::to_string(batched.reps),
+                  FormatDouble(batched.wall_ms, 2),
+                  FormatDouble(batched.Qps(), 1), FormatDouble(speedup, 2),
+                  FormatDouble(batched.wall_ms / batched.queries, 4)});
+    json.BeginResult();
+    json.Field("section", "batch");
+    json.Field("name", "engine");
+    json.Field("threads", static_cast<double>(threads));
+    json.Field("reps", static_cast<double>(batched.reps));
+    json.Field("wall_ms", batched.wall_ms);
+    json.Field("qps", batched.Qps());
+    json.Field("speedup", speedup);
   }
   table.Print();
 
@@ -199,11 +191,11 @@ int main() {
 
   std::printf(
       "\nSingle-query latency: one expensive 2-D query, %zu shards (hash),\n"
-      "%zu workers. sequential-scan pool = global-queue, nested-fan-out\n"
-      "pool = work-stealing.\n\n",
+      "sequential shard scan at 1 worker vs. nested fan-out at %zu "
+      "workers.\n\n",
       shards, latency_threads);
 
-  ResultTable latency_table({"query", "pool", "reps", "avg_latency_ms",
+  ResultTable latency_table({"query", "threads", "reps", "avg_latency_ms",
                              "parallel_fraction", "fanout_speedup"},
                             "engine_latency.csv");
 
@@ -222,29 +214,27 @@ int main() {
 
   for (const QuerySpec& spec : specs) {
     double base_ms = 0.0;
-    for (PoolKind pool : {PoolKind::kGlobalQueue, PoolKind::kWorkStealing}) {
+    for (size_t threads : {size_t{1}, latency_threads}) {
       ShardedEngineOptions sopt;
       sopt.num_shards = shards;
-      sopt.num_threads = latency_threads;
+      sopt.num_threads = threads;
       sopt.radial_pieces = spec.radial_pieces;
-      sopt.pool = pool;
       ShardedQueryEngine engine(*spec.data, sopt);
       LatencyPoint point = TimeSingleQuery(engine, spec.make, min_wall_ms);
-      const bool is_base = pool == PoolKind::kGlobalQueue;
+      const bool is_base = threads == 1;
       if (is_base) base_ms = point.avg_ms;
       const double speedup =
           point.avg_ms > 0.0 ? base_ms / point.avg_ms : 0.0;
       latency_table.AddRow(
-          {spec.name, std::string(ToString(pool)),
-           std::to_string(point.reps), FormatDouble(point.avg_ms, 3),
+          {spec.name, std::to_string(threads), std::to_string(point.reps),
+           FormatDouble(point.avg_ms, 3),
            FormatDouble(point.parallel_fraction, 2),
            is_base ? "1.00" : FormatDouble(speedup, 2)});
       json.BeginResult();
       json.Field("section", "single_query_latency");
       json.Field("query", spec.name);
-      json.Field("pool", std::string(ToString(pool)));
       json.Field("shards", static_cast<double>(shards));
-      json.Field("threads", static_cast<double>(latency_threads));
+      json.Field("threads", static_cast<double>(threads));
       json.Field("reps", static_cast<double>(point.reps));
       json.Field("avg_latency_ms", point.avg_ms);
       json.Field("parallel_fraction", point.parallel_fraction);

@@ -1,16 +1,17 @@
 // The abstract query-engine interface.
 //
-// Everything that serves QueryRequests — the single-process QueryEngine and
-// the scatter/gather ShardedQueryEngine today, any future backend
-// (work-stealing pool, caching tier) tomorrow — implements pverify::Engine.
+// Everything that serves QueryRequests — the single-process QueryEngine,
+// the scatter/gather ShardedQueryEngine and the CachingEngine tier in front
+// of either — implements pverify::Engine.
 // Callers are written once against `Engine&`; whether the dataset lives in
 // one R-tree or is partitioned across shards is decided only at
 // construction. Every implementation honors the same contracts:
 //
-//  * Execute runs one request on the calling thread and ExecuteBatch fans a
-//    batch across the implementation's worker pool, returning results in
-//    request order; answers are bit-identical across implementations and to
-//    the sequential executors (only timings differ).
+//  * Execute runs one request from the calling thread and ExecuteBatch
+//    fans a batch across the implementation's WorkStealingPool, returning
+//    results in request order; answers are bit-identical across
+//    implementations and to the sequential executors (only timings
+//    differ).
 //  * Submit enqueues a request and returns a future; requests submitted
 //    while a batch is in flight coalesce into the next pool batch.
 //  * ExecuteBatch may be called from one thread at a time; Execute and
@@ -35,7 +36,8 @@ class Engine {
   /// Worker threads the batch paths fan out over.
   virtual size_t num_threads() const = 0;
 
-  /// Executes one request on the calling thread (no pool dispatch).
+  /// Executes one request from the calling thread, outside any batch (the
+  /// sharded engine still scatters its shards on its pool).
   virtual QueryResult Execute(QueryRequest request) = 0;
 
   /// Executes a batch across the worker pool; results are in request

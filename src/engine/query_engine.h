@@ -1,8 +1,8 @@
 // The batched multi-threaded query engine.
 //
 // A QueryEngine owns a CpnnExecutor (dataset + R-tree) and/or a
-// CpnnExecutor2D (2-D dataset + 2-D R-tree), a fixed-size worker pool
-// (spawned on first batched use) and one QueryScratch per worker. It is the
+// CpnnExecutor2D (2-D dataset + 2-D R-tree), a fixed-size work-stealing
+// pool (spawned on first batched use) and one QueryScratch per worker. It is the
 // single-process implementation of the pverify::Engine interface (see
 // engine/engine.h): one request/result surface over every query family the
 // library evaluates — point C-PNN (1-D and native 2-D), min/max,
@@ -29,7 +29,7 @@
 #include "core/query2d.h"
 #include "engine/engine.h"
 #include "engine/scratch.h"
-#include "engine/worker_pool.h"
+#include "engine/work_steal_pool.h"
 
 namespace pverify {
 
@@ -40,11 +40,6 @@ struct EngineOptions {
   size_t num_threads = 0;
   /// Radial-cdf resolution of the 2-D executor (Point2DQuery requests).
   int radial_pieces = 64;
-  /// Worker-pool implementation the batch paths schedule on. The
-  /// work-stealing pool is the default (it additionally supports nested
-  /// ParallelFor); kGlobalQueue selects the simple shared-queue pool.
-  /// Answers are bit-identical either way — only scheduling differs.
-  PoolKind pool = PoolKind::kWorkStealing;
 };
 
 /// Serves any number of queries over one dataset, sequentially or batched.
@@ -90,15 +85,14 @@ class QueryEngine : public Engine {
   /// the pool is only ever driven from the batch paths, so engines that
   /// never batch (e.g. the sharded engine's per-shard executors) never
   /// park idle worker threads.
-  WorkerPool& BatchPool();
+  WorkStealingPool& BatchPool();
   SubmitQueue* EnsureSubmitQueue();
 
   CpnnExecutor executor_;
   /// Engaged when the engine owns a 2-D dataset (Point2DQuery requests).
   std::optional<CpnnExecutor2D> executor2d_;
   size_t num_threads_;
-  PoolKind pool_kind_;
-  std::unique_ptr<WorkerPool> pool_;  ///< lazy; guarded by batch_mu_
+  std::unique_ptr<WorkStealingPool> pool_;  ///< lazy; guarded by batch_mu_
   std::vector<std::unique_ptr<QueryScratch>> worker_scratches_;
   QueryScratch serial_scratch_;  ///< used by Execute()
   /// Mutable so the const telemetry accessors can exclude in-flight

@@ -42,13 +42,13 @@ struct WorkStealingPool::LoopState {
   std::exception_ptr first_error;
 };
 
+size_t WorkStealingPool::DefaultThreadCount() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : static_cast<size_t>(hw);
+}
+
 WorkStealingPool::WorkStealingPool(size_t num_threads) {
-  size_t n = num_threads;
-  if (n == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = hw == 0 ? 1 : static_cast<size_t>(hw);
-  }
-  n = std::max<size_t>(1, n);
+  const size_t n = num_threads == 0 ? DefaultThreadCount() : num_threads;
   deques_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     deques_.push_back(std::make_unique<TaskDeque>());
@@ -83,8 +83,7 @@ void WorkStealingPool::Submit(PoolTask task) {
       t(worker);
     } catch (...) {
       // Fire-and-forget tasks own their error handling; swallowing keeps
-      // one bad task from terminating the process (same contract as
-      // ThreadPool::Submit).
+      // one bad task from terminating the process.
     }
     if (submitted_in_flight_.fetch_sub(1, std::memory_order_release) == 1) {
       std::lock_guard<std::mutex> g(idle_mu_);

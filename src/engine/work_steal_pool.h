@@ -1,4 +1,5 @@
-// Work-stealing worker pool with a nesting-safe ParallelFor.
+// Work-stealing worker pool with a nesting-safe ParallelFor — the one pool
+// both engines fan work out on.
 //
 // Layout: every worker owns a deque accessed Chase–Lev-style — the owner
 // pushes and pops at the BOTTOM (LIFO, so the hottest, most recently
@@ -35,7 +36,9 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <new>
@@ -43,8 +46,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "engine/worker_pool.h"
 
 namespace pverify {
 
@@ -154,18 +155,22 @@ class PoolTask {
 };
 
 /// The work-stealing pool. See the file comment for the scheduling model.
-class WorkStealingPool : public WorkerPool {
+class WorkStealingPool {
  public:
-  /// Spawns `num_threads` workers (0 means hardware concurrency; clamped
-  /// to >= 1).
+  /// Spawns `num_threads` workers (0 means DefaultThreadCount()).
   explicit WorkStealingPool(size_t num_threads);
 
   /// Drains outstanding tasks, then joins the workers.
-  ~WorkStealingPool() override;
+  ~WorkStealingPool();
 
-  size_t size() const override { return deques_.size(); }
-  PoolKind kind() const override { return PoolKind::kWorkStealing; }
-  bool SupportsNestedParallelFor() const override { return true; }
+  WorkStealingPool(const WorkStealingPool&) = delete;
+  WorkStealingPool& operator=(const WorkStealingPool&) = delete;
+
+  /// Hardware concurrency with a safe fallback (>= 1).
+  static size_t DefaultThreadCount();
+
+  /// Number of worker threads (>= 1).
+  size_t size() const { return deques_.size(); }
 
   /// Enqueues a task for any worker: onto the calling worker's own deque
   /// when called from inside the pool, through the injection queue
@@ -176,12 +181,16 @@ class WorkStealingPool : public WorkerPool {
   /// self-synchronizing and does not count.)
   void WaitIdle();
 
-  /// Nesting-safe ParallelFor (see WorkerPool::ParallelFor for the index
-  /// and worker-id contract). From an external thread the caller blocks on
-  /// the loop's latch; from a pool worker the caller participates.
+  /// Runs fn(worker, index) for every index in [0, n), distributing
+  /// indices dynamically over the workers, and blocks until every index is
+  /// processed. `worker` is a stable id in [0, size()); a nested call runs
+  /// its iterations under the participating thread's outer id, so
+  /// per-worker scratch keys stay valid. If any callback throws, one of
+  /// the exceptions is rethrown here after the loop drains. Callable from
+  /// any external thread (the caller blocks on the loop's latch) and from
+  /// inside a pool worker (the caller participates).
   void ParallelFor(size_t n,
-                   const std::function<void(size_t worker, size_t index)>& fn)
-      override;
+                   const std::function<void(size_t worker, size_t index)>& fn);
 
   /// Sentinel returned by CurrentWorkerId on non-worker threads.
   static constexpr size_t kNotAWorker = ~static_cast<size_t>(0);
@@ -189,12 +198,17 @@ class WorkStealingPool : public WorkerPool {
   /// The calling thread's stable worker id in this pool, or kNotAWorker.
   size_t CurrentWorkerId() const;
 
-  /// Time this thread spent running drained/stolen foreign tasks while
-  /// blocked in nested ParallelFor calls (see WorkerPool). Maintained in
-  /// the drain loop of ParallelFor: each foreign task's wall time is added
-  /// net of the bumps its own nested drains made, so a stolen whole-query
-  /// task that itself steals is charged exactly once.
-  double ForeignWorkMsOnThisThread() const override;
+  /// Milliseconds the CALLING thread has spent executing other tasks'
+  /// work while blocked inside one of this pool's ParallelFor calls (it
+  /// drains/steals foreign tasks instead of blocking). Monotone per
+  /// thread; callers snapshot it around a timed section and subtract the
+  /// delta so per-query timings stop charging stolen work to the query
+  /// that happened to be blocked. Maintained in the drain loop of
+  /// ParallelFor: each foreign task's wall time is added net of the bumps
+  /// its own nested drains made, so a stolen whole-query task that itself
+  /// steals is charged exactly once. External threads never drain and
+  /// read 0.
+  double ForeignWorkMsOnThisThread() const;
 
   /// Lifetime telemetry: tasks executed from the owner's own deque vs.
   /// stolen from another worker's (approximate; relaxed counters).

@@ -1,5 +1,6 @@
 #include "net/codec.h"
 
+#include <cmath>
 #include <limits>
 #include <string>
 #include <variant>
@@ -58,6 +59,16 @@ QueryOptions DecodeOptions(WireReader& r) {
   o.monte_carlo.seed = r.U64();
   o.report_probabilities = r.Bool();
   return o;
+}
+
+/// A query coordinate: NaN or ±inf has no nearest neighbor, so it is a
+/// malformed request rather than one the engine should evaluate.
+double DecodeCoord(WireReader& r) {
+  const double v = r.F64();
+  if (!std::isfinite(v)) {
+    throw WireError("wire: query coordinate must be finite");
+  }
+  return v;
 }
 
 int32_t DecodeK(WireReader& r) {
@@ -190,7 +201,7 @@ QueryRequest DecodeRequest(WireReader& r) {
   }
   switch (static_cast<QueryKind>(kind)) {
     case QueryKind::kPoint: {
-      double q = r.F64();
+      double q = DecodeCoord(r);
       return PointQuery{q, DecodeOptions(r)};
     }
     case QueryKind::kMin:
@@ -198,7 +209,7 @@ QueryRequest DecodeRequest(WireReader& r) {
     case QueryKind::kMax:
       return MaxQuery{DecodeOptions(r)};
     case QueryKind::kKnn: {
-      double q = r.F64();
+      double q = DecodeCoord(r);
       int32_t k = DecodeK(r);
       return KnnQuery{q, k, DecodeOptions(r)};
     }
@@ -206,14 +217,14 @@ QueryRequest DecodeRequest(WireReader& r) {
       throw WireError("wire: kCandidates requests are not serializable");
     case QueryKind::kPoint2D: {
       Point2 q;
-      q.x = r.F64();
-      q.y = r.F64();
+      q.x = DecodeCoord(r);
+      q.y = DecodeCoord(r);
       return Point2DQuery{q, DecodeOptions(r)};
     }
     case QueryKind::kKnn2D: {
       Point2 q;
-      q.x = r.F64();
-      q.y = r.F64();
+      q.x = DecodeCoord(r);
+      q.y = DecodeCoord(r);
       int32_t k = DecodeK(r);
       return Knn2DQuery{q, k, DecodeOptions(r)};
     }

@@ -40,20 +40,6 @@ struct Mbr {
     return v;
   }
 
-  /// Sum of edge lengths (margin), used as an R*-style tie breaker.
-  double Margin() const {
-    double m = 0.0;
-    for (int d = 0; d < Dim; ++d) m += std::max(0.0, hi[d] - lo[d]);
-    return m;
-  }
-
-  /// Volume increase if `other` were merged in.
-  double Enlargement(const Mbr& other) const {
-    Mbr merged = *this;
-    merged.Expand(other);
-    return merged.Volume() - Volume();
-  }
-
   bool Intersects(const Mbr& other) const {
     for (int d = 0; d < Dim; ++d) {
       if (other.hi[d] < lo[d] || other.lo[d] > hi[d]) return false;

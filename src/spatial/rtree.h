@@ -1,7 +1,8 @@
-// An in-memory R-tree supporting dynamic insertion (quadratic split) and STR
-// bulk loading, with the branch-and-bound searches required by the PNN
-// filtering phase of [8]: finding the k smallest MAXDIST(q, X_i) (k = 1
-// gives f_min) and collecting every object whose MINDIST is within it.
+// An in-memory R-tree built by STR bulk loading, with the branch-and-bound
+// searches required by the PNN filtering phase of [8]: finding the k
+// smallest MAXDIST(q, X_i) (k = 1 gives f_min) and collecting every object
+// whose MINDIST is within it. Datasets are static, so the tree has no
+// dynamic insertion.
 //
 // The tree is templated on dimensionality and the leaf payload type so the
 // same implementation indexes 1-D uncertainty intervals (the paper's focus)
@@ -12,13 +13,11 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "spatial/mbr.h"
 
 namespace pverify {
@@ -27,7 +26,6 @@ template <int Dim, typename Value>
 class RTree {
  public:
   static constexpr size_t kMaxEntries = 16;
-  static constexpr size_t kMinEntries = 6;  // ~40% fill on splits
 
   struct Entry {
     Mbr<Dim> mbr;
@@ -36,19 +34,7 @@ class RTree {
 
   RTree() = default;
 
-  /// Inserts one entry (R-tree dynamic insertion with quadratic split).
-  void Insert(const Mbr<Dim>& mbr, Value value) {
-    if (!root_) {
-      root_ = std::make_unique<Node>(/*leaf=*/true);
-    }
-    Node* leaf = ChooseLeaf(root_.get(), mbr);
-    leaf->entries.push_back(Entry{mbr, std::move(value)});
-    leaf->mbr.Expand(mbr);
-    HandleOverflow(leaf);
-    ++size_;
-  }
-
-  /// Sort-Tile-Recursive bulk load; replaces any existing content.
+  /// Sort-Tile-Recursive bulk load.
   static RTree BulkLoadSTR(std::vector<Entry> entries) {
     RTree tree;
     tree.size_ = entries.size();
@@ -225,7 +211,6 @@ class RTree {
     Mbr<Dim> mbr;
     std::vector<Entry> entries;                   // leaf payloads
     std::vector<std::unique_ptr<Node>> children;  // internal children
-    Node* parent = nullptr;
 
     size_t Fanout() const { return leaf ? entries.size() : children.size(); }
 
@@ -238,176 +223,6 @@ class RTree {
       }
     }
   };
-
-  Node* ChooseLeaf(Node* node, const Mbr<Dim>& mbr) {
-    while (!node->leaf) {
-      Node* best = nullptr;
-      double best_enl = std::numeric_limits<double>::infinity();
-      double best_vol = std::numeric_limits<double>::infinity();
-      for (const auto& child : node->children) {
-        double enl = child->mbr.Enlargement(mbr);
-        double vol = child->mbr.Volume();
-        if (enl < best_enl || (enl == best_enl && vol < best_vol)) {
-          best = child.get();
-          best_enl = enl;
-          best_vol = vol;
-        }
-      }
-      best->mbr.Expand(mbr);
-      node = best;
-    }
-    return node;
-  }
-
-  void HandleOverflow(Node* node) {
-    while (node != nullptr && node->Fanout() > kMaxEntries) {
-      Node* sibling = SplitNode(node);
-      Node* parent = node->parent;
-      if (parent == nullptr) {
-        // Grow a new root.
-        auto new_root = std::make_unique<Node>(/*leaf=*/false);
-        auto old_root = std::move(root_);
-        old_root->parent = new_root.get();
-        sibling->parent = new_root.get();
-        new_root->children.push_back(std::move(old_root));
-        new_root->children.emplace_back(sibling);
-        new_root->RecomputeMbr();
-        root_ = std::move(new_root);
-        return;
-      }
-      sibling->parent = parent;
-      parent->children.emplace_back(sibling);
-      parent->RecomputeMbr();
-      node = parent;
-    }
-    // Refresh ancestor MBRs.
-    while (node != nullptr) {
-      node->RecomputeMbr();
-      node = node->parent;
-    }
-  }
-
-  // Quadratic split (Guttman). Returns the newly allocated sibling; the
-  // caller owns the raw pointer and must attach it to a parent.
-  Node* SplitNode(Node* node) {
-    Node* sibling = new Node(node->leaf);
-
-    auto mbr_of = [&](size_t i) -> const Mbr<Dim>& {
-      return node->leaf ? node->entries[i].mbr : node->children[i]->mbr;
-    };
-    const size_t n = node->Fanout();
-
-    // Pick the pair of seeds wasting the most volume.
-    size_t seed_a = 0, seed_b = 1;
-    double worst = -std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        Mbr<Dim> merged = mbr_of(i);
-        merged.Expand(mbr_of(j));
-        double waste =
-            merged.Volume() - mbr_of(i).Volume() - mbr_of(j).Volume();
-        if (waste > worst) {
-          worst = waste;
-          seed_a = i;
-          seed_b = j;
-        }
-      }
-    }
-
-    std::vector<char> assigned(n, 0);  // 0 = pending, 1 = stay, 2 = sibling
-    assigned[seed_a] = 1;
-    assigned[seed_b] = 2;
-    Mbr<Dim> group_a = mbr_of(seed_a);
-    Mbr<Dim> group_b = mbr_of(seed_b);
-    size_t count_a = 1, count_b = 1;
-    size_t pending = n - 2;
-
-    while (pending > 0) {
-      // Force-assign when one group must take everything left to reach the
-      // minimum fill.
-      if (count_a + pending == kMinEntries) {
-        for (size_t i = 0; i < n; ++i) {
-          if (!assigned[i]) {
-            assigned[i] = 1;
-            group_a.Expand(mbr_of(i));
-          }
-        }
-        break;
-      }
-      if (count_b + pending == kMinEntries) {
-        for (size_t i = 0; i < n; ++i) {
-          if (!assigned[i]) {
-            assigned[i] = 2;
-            group_b.Expand(mbr_of(i));
-          }
-        }
-        break;
-      }
-      // Pick the pending item with the greatest preference difference.
-      size_t pick = n;
-      double best_diff = -1.0;
-      double enl_a_pick = 0.0, enl_b_pick = 0.0;
-      for (size_t i = 0; i < n; ++i) {
-        if (assigned[i]) continue;
-        double ea = group_a.Enlargement(mbr_of(i));
-        double eb = group_b.Enlargement(mbr_of(i));
-        double diff = std::abs(ea - eb);
-        if (diff > best_diff) {
-          best_diff = diff;
-          pick = i;
-          enl_a_pick = ea;
-          enl_b_pick = eb;
-        }
-      }
-      PV_DCHECK(pick < n);
-      bool to_a;
-      if (enl_a_pick != enl_b_pick) {
-        to_a = enl_a_pick < enl_b_pick;
-      } else if (group_a.Volume() != group_b.Volume()) {
-        to_a = group_a.Volume() < group_b.Volume();
-      } else {
-        to_a = count_a <= count_b;
-      }
-      assigned[pick] = to_a ? 1 : 2;
-      if (to_a) {
-        group_a.Expand(mbr_of(pick));
-        ++count_a;
-      } else {
-        group_b.Expand(mbr_of(pick));
-        ++count_b;
-      }
-      --pending;
-    }
-
-    // Move group-2 members into the sibling.
-    if (node->leaf) {
-      std::vector<Entry> keep;
-      keep.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (assigned[i] == 2) {
-          sibling->entries.push_back(std::move(node->entries[i]));
-        } else {
-          keep.push_back(std::move(node->entries[i]));
-        }
-      }
-      node->entries = std::move(keep);
-    } else {
-      std::vector<std::unique_ptr<Node>> keep;
-      keep.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        if (assigned[i] == 2) {
-          node->children[i]->parent = sibling;
-          sibling->children.push_back(std::move(node->children[i]));
-        } else {
-          keep.push_back(std::move(node->children[i]));
-        }
-      }
-      node->children = std::move(keep);
-    }
-    node->RecomputeMbr();
-    sibling->RecomputeMbr();
-    return sibling;
-  }
 
   // --- STR bulk loading -----------------------------------------------
 
@@ -469,7 +284,6 @@ class RTree {
       auto parent = std::make_unique<Node>(/*leaf=*/false);
       size_t end = std::min(level.size(), i + kMaxEntries);
       for (size_t j = i; j < end; ++j) {
-        level[j]->parent = parent.get();
         parent->children.push_back(std::move(level[j]));
       }
       parent->RecomputeMbr();

@@ -5,8 +5,8 @@
 // (default 0, i.e. bit-identical) via tests/ulp_testutil.h.
 //
 // The Engine contract says answers must not depend on the implementation:
-// unsharded vs. sharded 1/2/4-way, hash vs. range policy, global-queue vs.
-// work-stealing pool, cached vs. uncached — only scheduling may differ.
+// unsharded vs. sharded 1/2/4-way, hash vs. range policy, one vs. several
+// worker threads, cached vs. uncached — only scheduling may differ.
 // This header is that contract as a reusable assertion. Tests build a
 // stream of request FACTORIES (requests are move-only, so each engine and
 // each round rebuilds its own), hand the harness a reference and a list of

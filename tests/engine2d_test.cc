@@ -236,7 +236,7 @@ TEST(Engine2DTest, ShardedPoint2DBitIdenticalAcrossShardCountsAndPolicies) {
         reference.ExecuteBatch(std::move(ref_batch));
 
     for (size_t shards : {1u, 2u, 4u}) {
-      for (const std::string& policy : {"hash", "range"}) {
+      for (const char* policy : {"hash", "range"}) {
         ShardedEngineOptions sopt;
         sopt.num_shards = shards;
         sopt.policy = MakePolicy2D(policy, data);
@@ -309,7 +309,7 @@ TEST(Engine2DTest, Point2DPruningNeverDropsContributingShard) {
         datagen::MakeQueryPoints2D(20, 0.0, domain_hi, /*seed=*/7 + d);
 
     for (size_t shards : {2u, 4u, 8u}) {
-      for (const std::string& policy : {"hash", "range"}) {
+      for (const char* policy : {"hash", "range"}) {
         ShardedEngineOptions sopt;
         sopt.num_shards = shards;
         sopt.policy = MakePolicy2D(policy, data);

@@ -372,6 +372,31 @@ TEST(NetCodecTest, NonPositiveKIsRejected) {
   EXPECT_THROW(DecodeRequest(r), WireError);
 }
 
+// NaN or ±inf query coordinates are malformed requests: every kind that
+// carries a point rejects them at decode, in each coordinate.
+TEST(NetCodecTest, NonFiniteQueryCoordinatesAreRejected) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  const QueryOptions opt;
+  for (double v : bad) {
+    std::vector<QueryRequest> requests;
+    requests.push_back(PointQuery{v, opt});
+    requests.push_back(KnnQuery{v, 2, opt});
+    requests.push_back(Point2DQuery{{v, 1.0}, opt});
+    requests.push_back(Point2DQuery{{1.0, v}, opt});
+    requests.push_back(Knn2DQuery{{v, 1.0}, 2, opt});
+    requests.push_back(Knn2DQuery{{1.0, v}, 2, opt});
+    for (const QueryRequest& request : requests) {
+      WireWriter w;
+      EncodeRequest(request, w);
+      WireReader r(w.bytes().data(), w.size());
+      EXPECT_THROW(DecodeRequest(r), WireError)
+          << ToString(request.kind()) << " with " << v;
+    }
+  }
+}
+
 TEST(NetCodecTest, HostileCountFieldFailsBeforeAllocation) {
   // A result body claiming 4 billion ids in a 16-byte message must be
   // rejected by the count check, not die trying to reserve.

@@ -274,12 +274,11 @@ TEST(ShardedEngineTest, AsyncSubmitMatchesReferenceUnderConcurrency) {
   EXPECT_LE(qstats.batches, qstats.requests);
 }
 
-// Both worker-pool implementations must produce bit-identical answers:
-// with the work-stealing pool every request's shard loop runs as a REAL
-// nested ParallelFor inside batch workers (idle workers steal shard
-// tasks), while the global-queue pool scans shards sequentially there —
-// scheduling is the only difference allowed.
-TEST(ShardedEngineTest, PoolKindsBitIdenticalIncludingNestedScatter) {
+// Every request's shard loop runs as a REAL nested ParallelFor inside
+// batch workers (idle workers steal shard tasks), and answers must stay
+// bit-identical to the unsharded engine — scheduling is the only
+// difference allowed.
+TEST(ShardedEngineTest, NestedScatterBitIdenticalToUnsharded) {
   Dataset data = datagen::MakeUniformScatter(400, 250.0, 2.0, /*seed=*/23);
   QueryEngine reference(data, EngineOptions{2});
   const QueryOptions opt = OptionsFor(Strategy::kVR);
@@ -298,25 +297,15 @@ TEST(ShardedEngineTest, PoolKindsBitIdenticalIncludingNestedScatter) {
     });
   }
 
-  std::vector<std::unique_ptr<ShardedQueryEngine>> variants;
-  std::vector<testutil::NamedEngine> named;
-  for (PoolKind kind : {PoolKind::kGlobalQueue, PoolKind::kWorkStealing}) {
-    ShardedEngineOptions sopt;
-    sopt.num_shards = 4;
-    sopt.num_threads = 4;
-    sopt.pool = kind;
-    variants.push_back(std::make_unique<ShardedQueryEngine>(data, sopt));
-    ASSERT_EQ(variants.back()->pool().kind(), kind);
-    ASSERT_EQ(variants.back()->pool().SupportsNestedParallelFor(),
-              kind == PoolKind::kWorkStealing);
-    named.push_back({std::string(ToString(kind)), variants.back().get()});
-  }
+  ShardedQueryEngine sharded(data, ShardedEngineOptions{4, nullptr, 4});
+  ASSERT_EQ(sharded.pool().size(), 4u);
 
   // exercise_submit covers the dispatcher-coalesced batches, which run the
   // nested shard scatter too.
   testutil::DifferentialConfig config;
   config.exercise_submit = true;
-  testutil::RunDifferentialStream(reference, named, stream, config);
+  testutil::RunDifferentialStream(reference, {{"nested scatter", &sharded}},
+                                  stream, config);
 }
 
 TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {
@@ -373,7 +362,7 @@ TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {
 
 TEST(ShardedEngineTest, PartitionDisjointCoverAndPolicyDeterminism) {
   Dataset data = datagen::MakeUniformScatter(200, 100.0, 1.5, /*seed=*/14);
-  for (const std::string& name : {"hash", "range"}) {
+  for (const char* name : {"hash", "range"}) {
     std::shared_ptr<const ShardingPolicy> policy = MakePolicy(name, data);
     std::vector<Dataset> shards = PartitionDataset(data, 4, *policy);
     ASSERT_EQ(shards.size(), 4u);

@@ -78,12 +78,12 @@ TEST(SubmitQueueTest, CoalescesEverythingSubmittedDuringAnInFlightBatch) {
     runner(batch);
   });
 
-  std::future<QueryResult> first = queue.Submit(PointQuery{0.0});
+  std::future<QueryResult> first = queue.Submit(PointQuery{0.0, {}});
   runner.WaitUntilEntered(1);  // dispatcher is now stuck inside batch #1
 
   std::vector<std::future<QueryResult>> rest;
   for (int i = 1; i <= 10; ++i) {
-    rest.push_back(queue.Submit(PointQuery{static_cast<double>(i)}));
+    rest.push_back(queue.Submit(PointQuery{static_cast<double>(i), {}}));
   }
   runner.Open();
 
@@ -113,7 +113,7 @@ TEST(SubmitQueueTest, DestructorDrainsQueuedRequests) {
       }
     });
     for (int i = 0; i < 64; ++i) {
-      futures.push_back(queue.Submit(PointQuery{static_cast<double>(i)}));
+      futures.push_back(queue.Submit(PointQuery{static_cast<double>(i), {}}));
     }
   }  // destructor must resolve every future before returning
   for (int i = 0; i < 64; ++i) {
@@ -127,7 +127,7 @@ TEST(SubmitQueueTest, ThrowingRunnerFailsPromisesInsteadOfBreakingThem) {
     batch.front().promise.set_value(ResultWithId(7));
     throw std::runtime_error("runner died");
   });
-  std::future<QueryResult> ok = queue.Submit(PointQuery{0.0});
+  std::future<QueryResult> ok = queue.Submit(PointQuery{0.0, {}});
   EXPECT_EQ(ok.get().ids, std::vector<ObjectId>{7});
 
   // A batch with several entries: entry 0 resolves, the rest get the error.
@@ -137,8 +137,8 @@ TEST(SubmitQueueTest, ThrowingRunnerFailsPromisesInsteadOfBreakingThem) {
   });
   // Submit two back to back; whether they land in one batch or two, every
   // future must resolve (value or exception), never broken_promise.
-  std::future<QueryResult> a = multi.Submit(PointQuery{0.0});
-  std::future<QueryResult> b = multi.Submit(PointQuery{1.0});
+  std::future<QueryResult> a = multi.Submit(PointQuery{0.0, {}});
+  std::future<QueryResult> b = multi.Submit(PointQuery{1.0, {}});
   for (std::future<QueryResult>* f : {&a, &b}) {
     try {
       QueryResult r = f->get();
@@ -164,7 +164,7 @@ TEST(SubmitQueueTest, ManyThreadsSubmitConcurrently) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
         futures[t].push_back(queue.Submit(
-            PointQuery{static_cast<double>(t * kPerThread + i)}));
+            PointQuery{static_cast<double>(t * kPerThread + i), {}}));
       }
     });
   }

@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "common/timer.h"
-#include "engine/worker_pool.h"
 
 namespace pverify {
 namespace {
@@ -36,9 +35,10 @@ TEST(WorkStealPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   for (size_t i = 0; i < n; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
 }
 
-TEST(WorkStealPoolTest, ZeroThreadRequestClampsToOne) {
+TEST(WorkStealPoolTest, ZeroThreadRequestMeansDefaultThreadCount) {
+  EXPECT_GE(WorkStealingPool::DefaultThreadCount(), 1u);
   WorkStealingPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
+  EXPECT_EQ(pool.size(), WorkStealingPool::DefaultThreadCount());
 }
 
 TEST(WorkStealPoolTest, ParallelForZeroItemsIsNoop) {
@@ -69,7 +69,7 @@ TEST(WorkStealPoolTest, NestedParallelForFromWorkersDoesNotDeadlock) {
   }
 }
 
-TEST(WorkStealPoolTest, NestedParallelForOnSingleWorkerPoolCompletes) {
+TEST(WorkStealPoolTest, NestedParallelForWithOneWorkerCompletes) {
   // With one worker nothing can be stolen: the nested caller must run the
   // whole inner loop itself (and drain its own spawned runners).
   WorkStealingPool pool(1);
@@ -314,23 +314,6 @@ TEST(WorkStealPoolTest, DrainedForeignTaskTimeIsAccounted) {
   EXPECT_GE(foreign_delta.load(), kBusyMs * 0.9);
   // A thread outside the pool never drains foreign work.
   EXPECT_EQ(pool.ForeignWorkMsOnThisThread(), 0.0);
-}
-
-TEST(WorkStealPoolTest, FactoryAndKinds) {
-  std::unique_ptr<WorkerPool> steal =
-      MakeWorkerPool(PoolKind::kWorkStealing, 2);
-  std::unique_ptr<WorkerPool> global =
-      MakeWorkerPool(PoolKind::kGlobalQueue, 2);
-  EXPECT_EQ(steal->kind(), PoolKind::kWorkStealing);
-  EXPECT_TRUE(steal->SupportsNestedParallelFor());
-  EXPECT_EQ(global->kind(), PoolKind::kGlobalQueue);
-  EXPECT_FALSE(global->SupportsNestedParallelFor());
-  EXPECT_EQ(ToString(PoolKind::kWorkStealing), "work-stealing");
-  EXPECT_EQ(ToString(PoolKind::kGlobalQueue), "global-queue");
-  std::atomic<int> count{0};
-  steal->ParallelFor(8, [&](size_t, size_t) { count.fetch_add(1); });
-  global->ParallelFor(8, [&](size_t, size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 16);
 }
 
 }  // namespace
