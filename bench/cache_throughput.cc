@@ -1,5 +1,5 @@
 // Caching-tier throughput: ExecuteBatch queries/sec of a CachingEngine
-// over BOTH backends (unsharded QueryEngine, 2-shard ShardedQueryEngine)
+// over BOTH backend shapes (one-shard and 2-shard QueryEngine)
 // across Zipf exponents × cache capacities.
 //
 // The workload models a repeated-hot-spot query log: a finite pool of
@@ -57,14 +57,9 @@ std::vector<double> SampleZipfStream(const std::vector<double>& pool,
 
 std::unique_ptr<Engine> MakeBackend(const std::string& name,
                                     const Dataset& data, size_t threads) {
-  if (name == "sharded") {
-    ShardedEngineOptions sopt;
-    sopt.num_shards = 2;
-    sopt.num_threads = threads;
-    return std::make_unique<ShardedQueryEngine>(data, sopt);
-  }
   EngineOptions eopt;
   eopt.num_threads = threads;
+  if (name == "sharded") eopt.num_shards = 2;
   return std::make_unique<QueryEngine>(data, eopt);
 }
 

@@ -4,8 +4,9 @@
 // The workload mirrors engine_throughput (Long-Beach-like dataset, random
 // query points, P=0.3, Δ=0.01, VR strategy). Two sweeps:
 //
-//  * ExecuteBatch on ShardedQueryEngine at 1/2/4/8 shards (hash and range
-//    policies) against the unsharded QueryEngine at the same thread count.
+//  * ExecuteBatch on QueryEngine at 1/2/4/8 shards (hash and range
+//    policies) against the default one-shard QueryEngine at the same
+//    thread count.
 //    Answers are bit-identical; the interesting numbers are q/s and the
 //    bounds-pruning rate (range sharding skips most shards per query,
 //    hash sharding cannot). Each request's shard loop runs as a nested
@@ -38,9 +39,9 @@ size_t AnswersPerRep(const bench::ThroughputPoint& p) {
 int main() {
   bench::PrintHeader(
       "Sharded + async throughput — scatter/gather vs. one engine",
-      "Queries/sec of ShardedQueryEngine::ExecuteBatch at 1/2/4/8 shards\n"
+      "Queries/sec of QueryEngine::ExecuteBatch at 1/2/4/8 shards\n"
       "(hash and range policies) and the async Submit stream, against the\n"
-      "unsharded QueryEngine (VR strategy, P=0.3, Δ=0.01). Timed regions\n"
+      "one-shard default (VR strategy, P=0.3, Δ=0.01). Timed regions\n"
       "repeat to a ≥100 ms floor.");
 
   const size_t queries = bench::QueriesFromEnv(200);
@@ -70,7 +71,7 @@ int main() {
                     "sharded_throughput.csv");
 
   // Both engines are driven through Engine& below; construction is the
-  // only place the sharded/unsharded choice exists.
+  // only place the shard count is chosen.
   QueryEngine baseline(env.dataset, EngineOptions{threads});
   bench::TimeBatch(baseline, env.query_points, opt);  // warm-up
   bench::ThroughputPoint base = bench::TimeBatchFloored(
@@ -82,14 +83,14 @@ int main() {
   // Sharded batch: shards × policies.
   for (const char* policy_name : {"hash", "range"}) {
     for (size_t shards : shard_counts) {
-      ShardedEngineOptions sopt;
+      EngineOptions sopt;
       sopt.num_shards = shards;
       sopt.num_threads = threads;
       if (std::string_view(policy_name) == "range") {
         sopt.policy = std::make_shared<const RangeShardingPolicy>(
             RangeShardingPolicy::ForDataset(env.dataset));
       }
-      ShardedQueryEngine sharded(env.dataset, sopt);
+      QueryEngine sharded(env.dataset, sopt);
       bench::TimeBatch(sharded, env.query_points, opt);  // warm-up
       const size_t visits0 = sharded.ShardVisits();
       const size_t pruned0 = sharded.ShardsPruned();
@@ -120,10 +121,10 @@ int main() {
                 FormatDouble(async_single.wall_ms, 2),
                 FormatDouble(async_single.Qps(), 1),
                 FormatDouble(async_single.Qps() / base.Qps(), 2), "-", "-"});
-  ShardedEngineOptions sopt;
+  EngineOptions sopt;
   sopt.num_shards = 4;
   sopt.num_threads = threads;
-  ShardedQueryEngine sharded(env.dataset, sopt);
+  QueryEngine sharded(env.dataset, sopt);
   bench::ThroughputPoint async_sharded = bench::TimeSubmitStreamFloored(
       sharded, env.query_points, opt, min_wall_ms);
   table.AddRow({"sharded+async", "hash", "4",

@@ -11,7 +11,6 @@
 #include "common/rng.h"
 #include "datagen/workload.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 
 using namespace pverify;
 
@@ -77,11 +76,11 @@ int main() {
 
   // Same swarm range-sharded into 8 x-stripes: per-shard Mbr bounds let
   // each incident skip distant sectors, and answers stay bit-identical.
-  ShardedEngineOptions sopt;
+  EngineOptions sopt;
   sopt.num_shards = 8;
   sopt.policy = std::make_shared<const RangeShardingPolicy>(
       RangeShardingPolicy::ForDataset2D(swarm));
-  ShardedQueryEngine sectors(swarm, sopt);
+  QueryEngine sectors(swarm, sopt);
   std::vector<QueryResult> sharded_results = run_shift(sectors, nullptr);
   size_t sharded_answers = 0;
   size_t mismatches = 0;

@@ -1,20 +1,20 @@
 // Fleet-dispatch scenario: a city-wide fleet of vehicles reports uncertain
 // 1-D positions along a highway (GPS intervals with uniform pdfs). The
-// dispatch service runs on a ShardedQueryEngine — the fleet is
+// dispatch service runs on an 8-shard QueryEngine — the fleet is
 // range-partitioned into district shards, so a pickup request only touches
 // the shards near it — and serves interactive requests through the async
 // Submit path: each incoming pickup submits one query and gets a future,
 // while the engine coalesces everything in flight into pool batches.
 //
-// The serving code only sees pverify::Engine& — swapping the sharded
-// engine for an unsharded QueryEngine is a one-line construction change.
+// The serving code only sees pverify::Engine& — serving from one shard
+// instead is a one-line construction change (EngineOptions::num_shards).
 #include <cstdio>
 #include <future>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/sharded_engine.h"
+#include "engine/query_engine.h"
 
 using namespace pverify;
 
@@ -32,11 +32,11 @@ int main() {
 
   // Range-shard the fleet into 8 district shards. Each shard owns its own
   // R-tree; per-shard domain bounds let queries skip distant districts.
-  ShardedEngineOptions sopt;
+  EngineOptions sopt;
   sopt.num_shards = 8;
   sopt.policy = std::make_shared<const RangeShardingPolicy>(
       RangeShardingPolicy::ForDataset(fleet));
-  ShardedQueryEngine dispatch(fleet, sopt);
+  QueryEngine dispatch(fleet, sopt);
   Engine& service = dispatch;  // everything below is backend-agnostic
 
   QueryOptions options;

@@ -14,7 +14,6 @@
 #include "datagen/workload.h"
 #include "engine/engine.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 
 namespace pverify {
 namespace bench {
@@ -85,7 +84,7 @@ inline QueryRequest MakePointRequest(Point2 q, const QueryOptions& options) {
 }
 
 /// Times one Engine::ExecuteBatch over the points at the engine's thread
-/// count — sharded vs. unsharded is whatever the caller constructed.
+/// count — the shard count is whatever the caller constructed.
 /// `stats` (optional) receives the batch aggregate.
 ThroughputPoint TimeBatch(Engine& engine, const std::vector<double>& points,
                           const QueryOptions& options,

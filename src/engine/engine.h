@@ -1,11 +1,12 @@
 // The abstract query-engine interface.
 //
-// Everything that serves QueryRequests — the single-process QueryEngine,
-// the scatter/gather ShardedQueryEngine and the CachingEngine tier in front
-// of either — implements pverify::Engine.
+// Two classes serve QueryRequests and implement pverify::Engine: the
+// QueryEngine (one scatter/gather runtime at any shard count; one shard is
+// the default) and the CachingEngine tier that can sit in front of it.
 // Callers are written once against `Engine&`; whether the dataset lives in
 // one R-tree or is partitioned across shards is decided only at
-// construction. Every implementation honors the same contracts:
+// construction (EngineOptions::num_shards). Every implementation honors
+// the same contracts:
 //
 //  * Execute runs one request from the calling thread and ExecuteBatch
 //    fans a batch across the implementation's WorkStealingPool, returning
@@ -36,8 +37,8 @@ class Engine {
   /// Worker threads the batch paths fan out over.
   virtual size_t num_threads() const = 0;
 
-  /// Executes one request from the calling thread, outside any batch (the
-  /// sharded engine still scatters its shards on its pool).
+  /// Executes one request from the calling thread, outside any batch (a
+  /// multi-shard QueryEngine still scatters its shards on its pool).
   virtual QueryResult Execute(QueryRequest request) = 0;
 
   /// Executes a batch across the worker pool; results are in request

@@ -9,7 +9,7 @@
 // themselves. The runner fans the batch out on the engine's
 // WorkStealingPool, so even a coalesced batch of ONE sharded request uses
 // every core: the request's shard loop nests inside the batch worker (see
-// sharded_engine.h).
+// query_engine.h).
 //
 // The runner fulfills each pending promise (value or exception) and must
 // not let exceptions escape per request; if the runner itself throws, the

@@ -72,7 +72,7 @@ size_t WorkStealingPool::CurrentWorkerId() const {
   return tls_pool == this ? tls_id : kNotAWorker;
 }
 
-double WorkStealingPool::ForeignWorkMsOnThisThread() const {
+double WorkStealingPool::ForeignWorkMsOnThisThread() {
   return tls_foreign_ms;
 }
 
@@ -209,7 +209,6 @@ void WorkStealingPool::WorkerLoop(size_t worker_id) {
 
 bool WorkStealingPool::RunOneTask(size_t self) {
   PoolTask task;
-  bool stolen = false;
   // 1) Own deque, bottom first: LIFO keeps the hottest work local and
   //    unwinds nested loops innermost-first.
   if (self != kNotAWorker) {
@@ -248,12 +247,10 @@ bool WorkStealingPool::RunOneTask(size_t self) {
         victim.tasks.pop_front();
         victim.approx_size.store(victim.tasks.size(),
                                  std::memory_order_relaxed);
-        stolen = true;
       }
     }
   }
   if (!task) return false;
-  (stolen ? steals_ : local_runs_).fetch_add(1, std::memory_order_relaxed);
   task(self);
   return true;
 }

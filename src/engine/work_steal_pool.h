@@ -199,7 +199,7 @@ class WorkStealingPool {
   size_t CurrentWorkerId() const;
 
   /// Milliseconds the CALLING thread has spent executing other tasks'
-  /// work while blocked inside one of this pool's ParallelFor calls (it
+  /// work while blocked inside a pool's ParallelFor call (it
   /// drains/steals foreign tasks instead of blocking). Monotone per
   /// thread; callers snapshot it around a timed section and subtract the
   /// delta so per-query timings stop charging stolen work to the query
@@ -208,16 +208,7 @@ class WorkStealingPool {
   /// its own nested drains made, so a stolen whole-query task that itself
   /// steals is charged exactly once. External threads never drain and
   /// read 0.
-  double ForeignWorkMsOnThisThread() const;
-
-  /// Lifetime telemetry: tasks executed from the owner's own deque vs.
-  /// stolen from another worker's (approximate; relaxed counters).
-  size_t TasksRunLocally() const {
-    return local_runs_.load(std::memory_order_relaxed);
-  }
-  size_t TasksStolen() const {
-    return steals_.load(std::memory_order_relaxed);
-  }
+  static double ForeignWorkMsOnThisThread();
 
  private:
   /// One worker's task deque: owner at the bottom, thieves at the top.
@@ -264,9 +255,6 @@ class WorkStealingPool {
   std::atomic<size_t> submitted_in_flight_{0};
   std::mutex idle_mu_;
   std::condition_variable idle_cv_;
-
-  std::atomic<size_t> local_runs_{0};
-  std::atomic<size_t> steals_{0};
 
   std::vector<std::thread> workers_;  ///< last: threads see members above
 };

@@ -4,13 +4,13 @@
 // domain bounds (the MBR of its objects' uncertainty intervals). Exactness
 // matters: the sharded path must produce bit-identical answers to the
 // unsharded one, so every bound here is computed with the *same floating
-// point pipeline* as the per-object quantity it prunes against — the
-// Mbr-based (sqrt) forms mirror the R-tree filter's entry metrics, the
-// interval (plain) forms mirror UncertainObject::MinDist/MaxDist. Because
-// an object's interval is contained in its shard's bounds and every
-// operation involved is monotone under rounding, shard-level distances
-// never exceed object-level ones within the same pipeline, which makes the
-// pruning exact rather than merely approximate.
+// point pipeline* as the per-object quantity it prunes against — the 1-D
+// interval forms mirror UncertainObject::MinDist/MaxDist (which the R-tree
+// filter evaluates on its leaf entries), the 2-D Mbr forms bound the exact
+// region distances. Because an object's region is contained in its shard's
+// bounds and every operation involved is monotone under rounding,
+// shard-level distances never exceed object-level ones within the same
+// pipeline, which makes the pruning exact rather than merely approximate.
 #ifndef PVERIFY_SPATIAL_BOUNDS_H_
 #define PVERIFY_SPATIAL_BOUNDS_H_
 
@@ -33,20 +33,6 @@ struct DomainBounds {
 /// Bounds of a dataset, accumulated in dataset order (the same loop shape
 /// CpnnExecutor uses for its domain, so the values agree bitwise).
 DomainBounds ComputeDomainBounds(const Dataset& dataset);
-
-/// MINDIST from q to the bounds, via the Mbr<1> metric (the R-tree filter's
-/// pipeline). Lower-bounds Mbr::MinDist of every contained interval.
-inline double MbrMinDistToBounds(double q, const DomainBounds& b) {
-  if (b.empty()) return std::numeric_limits<double>::infinity();
-  return MakeInterval(b.lo, b.hi).MinDist({q});
-}
-
-/// MAXDIST from q to the bounds, via the Mbr<1> metric. Upper-bounds
-/// Mbr::MaxDist of every contained interval.
-inline double MbrMaxDistToBounds(double q, const DomainBounds& b) {
-  if (b.empty()) return -std::numeric_limits<double>::infinity();
-  return MakeInterval(b.lo, b.hi).MaxDist({q});
-}
 
 /// MINDIST from q to the bounds, via the interval arithmetic of
 /// UncertainObject::MinDist. Lower-bounds MinDist of every contained object.

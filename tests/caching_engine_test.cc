@@ -18,7 +18,6 @@
 #include "datagen/workload.h"
 #include "differential_testutil.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 
 namespace pverify {
 namespace {
@@ -50,10 +49,8 @@ std::vector<QueryRequest> PointBatch(const std::vector<double>& points,
 std::unique_ptr<Engine> MakeBackend(const std::string& name,
                                     const Dataset& data) {
   if (name == "sharded") {
-    ShardedEngineOptions sopt;
-    sopt.num_shards = 2;
-    sopt.num_threads = 2;
-    return std::make_unique<ShardedQueryEngine>(data, sopt);
+    return std::make_unique<QueryEngine>(data,
+                                         testutil::ShardedOptions(2, 2));
   }
   return std::make_unique<QueryEngine>(data, EngineOptions{2});
 }

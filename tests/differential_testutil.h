@@ -16,19 +16,42 @@
 #define PVERIFY_TESTS_DIFFERENTIAL_TESTUTIL_H_
 
 #include <algorithm>
+#include <filesystem>
 #include <functional>
 #include <future>
+#include <iterator>
+#include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "engine/engine.h"
+#include "engine/query_engine.h"
 #include "ulp_testutil.h"
 
 namespace pverify {
 namespace testutil {
+
+/// Options for a QueryEngine of `num_shards` shards on `num_threads`
+/// workers (null policy: hash sharding).
+inline EngineOptions ShardedOptions(
+    size_t num_shards, size_t num_threads,
+    std::shared_ptr<const ShardingPolicy> policy = nullptr) {
+  EngineOptions options;
+  options.num_shards = num_shards;
+  options.num_threads = num_threads;
+  options.policy = std::move(policy);
+  return options;
+}
+
+/// Threads in this process right now (entries of /proc/self/task).
+inline size_t ThreadsInProcess() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<size_t>(std::distance(std::filesystem::begin(tasks),
+                                           std::filesystem::end(tasks)));
+}
 
 /// One backend under differential test, with the label used in failures.
 struct NamedEngine {

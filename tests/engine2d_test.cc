@@ -3,17 +3,19 @@
 // shard counts and policies, a property test that 2-D shard pruning never
 // drops a shard that could contribute, and scratch-footprint stability over
 // a 100+-query 2-D batch.
+#include <algorithm>
 #include <future>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
+#include "differential_testutil.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 #include "spatial/bounds.h"
 #include "spatial/filter.h"
 
@@ -159,7 +161,7 @@ TEST(Engine2DTest, Point2DWithoutDatasetThrows) {
   EXPECT_THROW(engine.Execute(Point2DQuery{{1.0, 1.0}, opt}),
                std::logic_error);
 
-  ShardedQueryEngine sharded(data1d, ShardedEngineOptions{2, nullptr, 2});
+  QueryEngine sharded(data1d, testutil::ShardedOptions(2, 2));
   EXPECT_THROW(sharded.Execute(Point2DQuery{{1.0, 1.0}, opt}),
                std::logic_error);
 }
@@ -179,11 +181,11 @@ TEST(Engine2DTest, EmptyDataset2DServesEmptyAnswersConsistently) {
   QueryEngine dual(data1d, Dataset2D{}, EngineOptions{1});
   ExpectIdentical(expected, dual.Execute(request()), "dual unsharded");
 
-  ShardedQueryEngine sharded(Dataset2D{}, ShardedEngineOptions{2, nullptr, 2});
+  QueryEngine sharded(Dataset2D{}, testutil::ShardedOptions(2, 2));
   ExpectIdentical(expected, sharded.Execute(request()), "sharded 2-D");
 
-  ShardedQueryEngine sharded_dual(data1d, Dataset2D{},
-                                  ShardedEngineOptions{2, nullptr, 2});
+  QueryEngine sharded_dual(data1d, Dataset2D{},
+                           testutil::ShardedOptions(2, 2));
   ExpectIdentical(expected, sharded_dual.Execute(request()),
                   "sharded dual");
 }
@@ -193,10 +195,7 @@ TEST(Engine2DTest, EmptyDataset2DServesEmptyAnswersConsistently) {
 // is capped at the arena's own take demand, which is zero here.
 TEST(Engine2DTest, ShardedGatherDoesNotGrowScratchUnboundedly) {
   Dataset2D data = TestDataset2D(200, /*seed=*/37);
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 2;
-  sopt.num_threads = 1;
-  ShardedQueryEngine sharded(data, sopt);
+  QueryEngine sharded(data, testutil::ShardedOptions(2, 1));
   QueryOptions opt = OptionsFor(Strategy::kVR);
   const std::vector<Point2> points =
       datagen::MakeQueryPoints2D(40, 0.0, 1000.0, /*seed=*/53);
@@ -237,11 +236,8 @@ TEST(Engine2DTest, ShardedPoint2DBitIdenticalAcrossShardCountsAndPolicies) {
 
     for (size_t shards : {1u, 2u, 4u}) {
       for (const char* policy : {"hash", "range"}) {
-        ShardedEngineOptions sopt;
-        sopt.num_shards = shards;
-        sopt.policy = MakePolicy2D(policy, data);
-        sopt.num_threads = 2;
-        ShardedQueryEngine sharded(data, sopt);
+        QueryEngine sharded(data, testutil::ShardedOptions(
+                                      shards, 2, MakePolicy2D(policy, data)));
         ASSERT_EQ(sharded.num_shards(), shards);
 
         std::vector<QueryRequest> batch;
@@ -269,11 +265,8 @@ TEST(Engine2DTest, ShardedPoint2DBitIdenticalAcrossShardCountsAndPolicies) {
 
 TEST(Engine2DTest, RangeSharding2DPrunesDistantShards) {
   Dataset2D data = ClusteredDataset2D();
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 8;
-  sopt.policy = MakePolicy2D("range", data);
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
+  QueryEngine sharded(
+      data, testutil::ShardedOptions(8, 2, MakePolicy2D("range", data)));
   QueryEngine reference(data, EngineOptions{1});
 
   const QueryOptions opt = OptionsFor(Strategy::kVR);
@@ -290,6 +283,144 @@ TEST(Engine2DTest, RangeSharding2DPrunesDistantShards) {
   EXPECT_GT(sharded.ShardsPruned(), 0u);
   EXPECT_GT(sharded.ShardVisits(), 0u);
   EXPECT_LT(sharded.ShardVisits(), points.size() * sharded.num_shards());
+}
+
+// Eight clusters on the diagonal, one in the middle of each eighth of
+// [0, 10000]: range (x-stripe) sharding over that domain at 8 shards puts
+// each cluster in its own shard, with wide gaps between the shards' bounds.
+Dataset2D StripeClusteredDataset2D() {
+  datagen::Synthetic2DClusteredConfig config;
+  config.count = 400;
+  config.domain = 10000.0;
+  config.num_clusters = 8;
+  config.cluster_stddev = 80.0;
+  config.mean_extent = 4.0;
+  config.max_extent = 12.0;
+  config.seed = 5;
+  return datagen::MakeSynthetic2DClustered(config);
+}
+
+// Replicates the engine's phase 0 from its public bounds: the shards whose
+// bounds MINDIST is within the cap that the shards nearest q (by bounds
+// MAXDIST) reach once they cover k objects.
+size_t EligibleShards2D(const QueryEngine& engine, Point2 q, size_t k) {
+  std::vector<std::pair<double, size_t>> caps;
+  for (size_t s = 0; s < engine.num_shards(); ++s) {
+    const ShardBounds2D& b = engine.shard_bounds2d(s);
+    if (!b.empty()) caps.emplace_back(MbrMaxDistToBounds2D(q, b), s);
+  }
+  std::sort(caps.begin(), caps.end());
+  double cap = std::numeric_limits<double>::infinity();
+  size_t covered = 0;
+  for (const std::pair<double, size_t>& c : caps) {
+    covered += engine.executor2d(c.second)->dataset().size();
+    if (covered >= k) {
+      cap = c.first;
+      break;
+    }
+  }
+  size_t eligible = 0;
+  for (size_t s = 0; s < engine.num_shards(); ++s) {
+    const ShardBounds2D& b = engine.shard_bounds2d(s);
+    if (!b.empty() &&
+        MbrMinDistToBounds2D(q, b) <= cap + kFilterBoundarySlack) {
+      ++eligible;
+    }
+  }
+  return eligible;
+}
+
+// The single-shard exit in 2-D: queries that phase 0 leaves with exactly
+// one eligible shard skip the scatter and run that shard's executor.
+// Answers must be bit-identical to the one-shard engine and to the bare
+// executor, each such query counts one visit and prunes every other shard,
+// and no serial Execute starts the pool (a scatter would).
+TEST(Engine2DTest, SingleEligibleShardExitMatchesOneShardAndExecutor) {
+  const Dataset2D data = StripeClusteredDataset2D();
+  const auto stripes =
+      std::make_shared<const RangeShardingPolicy>(0.0, 10000.0);
+  QueryEngine sharded(data, testutil::ShardedOptions(8, 2, stripes));
+  QueryEngine one_shard(data, EngineOptions{2});
+  const CpnnExecutor2D executor(data);
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+  constexpr int kK = 3;
+  const size_t threads = testutil::ThreadsInProcess();
+
+  auto run = [&](auto request) {
+    const size_t visits0 = sharded.ShardVisits();
+    const size_t pruned0 = sharded.ShardsPruned();
+    QueryResult result = sharded.Execute(std::move(request));
+    EXPECT_EQ(sharded.ShardVisits() - visits0, 1u);
+    EXPECT_EQ(sharded.ShardsPruned() - pruned0, 7u);
+    EXPECT_EQ(result.stats.dataset_size, data.size());
+    return result;
+  };
+
+  for (int c = 0; c < 8; ++c) {
+    const double at = 625.0 + 1250.0 * c;
+    const Point2 q{at, at};
+    const std::string what = "cluster " + std::to_string(c);
+    ASSERT_EQ(EligibleShards2D(sharded, q, 1), 1u) << what;
+    ASSERT_EQ(EligibleShards2D(sharded, q, kK), 1u) << what;
+
+    QueryResult point = run(Point2DQuery{q, opt});
+    EXPECT_GT(point.stats.candidates, 0u) << what;
+    ExpectIdentical(executor.Execute(q, opt), point, what + " point");
+    ExpectIdentical(one_shard.Execute(Point2DQuery{q, opt}), point,
+                    what + " point");
+
+    QueryResult knn = run(Knn2DQuery{q, kK, opt});
+    const CknnAnswer expected =
+        executor.ExecuteKnn(q, kK, opt.params, opt.integration);
+    const QueryResult reference = one_shard.Execute(Knn2DQuery{q, kK, opt});
+    ASSERT_TRUE(knn.knn.has_value()) << what;
+    ASSERT_TRUE(reference.knn.has_value()) << what;
+    EXPECT_EQ(expected.ids, knn.ids) << what;
+    EXPECT_EQ(reference.ids, knn.ids) << what;
+    ASSERT_EQ(expected.bounds.size(), knn.knn->bounds.size()) << what;
+    ASSERT_EQ(reference.knn->bounds.size(), knn.knn->bounds.size()) << what;
+    for (size_t i = 0; i < expected.bounds.size(); ++i) {
+      EXPECT_EQ(expected.bounds[i].lower, knn.knn->bounds[i].lower) << what;
+      EXPECT_EQ(expected.bounds[i].upper, knn.knn->bounds[i].upper) << what;
+      EXPECT_EQ(reference.knn->bounds[i].lower, knn.knn->bounds[i].lower)
+          << what;
+      EXPECT_EQ(reference.knn->bounds[i].upper, knn.knn->bounds[i].upper)
+          << what;
+    }
+  }
+  EXPECT_EQ(testutil::ThreadsInProcess(), threads);
+  // Both engines ran the same request sequence through their serial
+  // scratch, and the exit runs the same executor code on the same
+  // candidates, so the scratches grew alike. A scatter would build its
+  // candidates outside the scratch arena and leave it smaller.
+  EXPECT_EQ(sharded.ScratchBytes(), one_shard.ScratchBytes());
+}
+
+// ShardedBatchStats' per-shard dataset_size is the shard's size in the
+// request's dimensionality: a 2-D request on a 2-D-only engine reports the
+// shards' 2-D partitions, not their (empty) 1-D ones — through the
+// single-shard exit (one shard) and through the scatter (two).
+TEST(Engine2DTest, ShardedBatchStatsReport2DShardSizes) {
+  const Dataset2D data = TestDataset2D(400, /*seed=*/21);
+  for (size_t shards : {1u, 2u}) {
+    QueryEngine engine(data, testutil::ShardedOptions(shards, 2));
+    std::vector<QueryRequest> batch;
+    batch.push_back(Point2DQuery{{500.0, 500.0}, OptionsFor(Strategy::kVR)});
+    ShardedBatchStats stats;
+    engine.ExecuteBatch(std::move(batch), &stats);
+
+    EXPECT_EQ(stats.gathered.totals.dataset_size, data.size());
+    ASSERT_EQ(stats.per_shard.size(), shards);
+    EXPECT_GE(stats.shard_visits, 1u);
+    for (size_t s = 0; s < shards; ++s) {
+      const size_t size = engine.executor2d(s)->dataset().size();
+      EXPECT_GT(size, 0u);
+      EXPECT_EQ(stats.per_shard[s].totals.dataset_size,
+                stats.per_shard[s].queries == 0 ? 0 : size)
+          << shards << " shards, shard " << s;
+    }
+    EXPECT_GT(stats.scatter_totals.totals.dataset_size, 0u);
+  }
 }
 
 // The pruning-safety property: a shard skipped by the Mbr-based phase-0 cut
@@ -310,16 +441,13 @@ TEST(Engine2DTest, Point2DPruningNeverDropsContributingShard) {
 
     for (size_t shards : {2u, 4u, 8u}) {
       for (const char* policy : {"hash", "range"}) {
-        ShardedEngineOptions sopt;
-        sopt.num_shards = shards;
-        sopt.policy = MakePolicy2D(policy, data);
-        sopt.num_threads = 1;
-        ShardedQueryEngine engine(data, sopt);
+        QueryEngine engine(data, testutil::ShardedOptions(
+                                     shards, 1, MakePolicy2D(policy, data)));
 
         // Bounds sandwich every contained object's exact distances.
         for (size_t s = 0; s < engine.num_shards(); ++s) {
           const ShardBounds2D& b = engine.shard_bounds2d(s);
-          const Dataset2D& part = engine.shard(s).executor2d()->dataset();
+          const Dataset2D& part = engine.executor2d(s)->dataset();
           for (Point2 q : points) {
             for (const UncertainObject2D& obj : part) {
               EXPECT_LE(MbrMinDistToBounds2D(q, b), obj.MinDist(q) + 1e-9);
@@ -343,7 +471,7 @@ TEST(Engine2DTest, Point2DPruningNeverDropsContributingShard) {
             const bool pruned =
                 MbrMinDistToBounds2D(q, b) > cap + kFilterBoundarySlack;
             if (!pruned) continue;
-            const Dataset2D& part = engine.shard(s).executor2d()->dataset();
+            const Dataset2D& part = engine.executor2d(s)->dataset();
             for (const UncertainObject2D& obj : part) {
               // No pruned object survives the global filter cut — the
               // shard could not have contributed a candidate (and, since

@@ -1,8 +1,8 @@
 // 2-D constrained k-NN through the engine stack: CpnnExecutor2D::ExecuteKnn
 // vs. the scan filter's invariants, Knn2DQuery pinned bit-identical to the
 // executor through QueryEngine (batch/submit/serial), and the sharded
-// KnnScatterPolicy<2> instantiation pinned bit-identical to the unsharded
-// answer at 1/2/4 shards under both sharding policies.
+// engine's 2-D k-NN scatter pinned bit-identical to the executor's answer
+// at 1/2/4 shards under both sharding policies.
 #include <future>
 #include <string>
 #include <vector>
@@ -12,8 +12,8 @@
 #include "core/query2d.h"
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
+#include "differential_testutil.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 #include "spatial/filter.h"
 
 namespace pverify {
@@ -144,11 +144,8 @@ TEST(Knn2DTest, ShardedKnn2DBitIdenticalAcrossShardCountsAndPolicies) {
 
     for (size_t shards : {1u, 2u, 4u}) {
       for (std::string policy : {"hash", "range"}) {
-        ShardedEngineOptions sopt;
-        sopt.num_shards = shards;
-        sopt.policy = MakePolicy2D(policy, data);
-        sopt.num_threads = 2;
-        ShardedQueryEngine sharded(data, sopt);
+        QueryEngine sharded(data, testutil::ShardedOptions(
+                                      shards, 2, MakePolicy2D(policy, data)));
 
         for (int k : {1, 3, 7}) {
           std::vector<QueryRequest> batch;
@@ -174,10 +171,7 @@ TEST(Knn2DTest, KLargerThanDatasetKeepsEveryObject) {
   Dataset2D data = TestDataset2D(12, /*seed=*/3);
   CpnnExecutor2D sequential(data);
   const QueryOptions opt = TestOptions();
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 4;
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
+  QueryEngine sharded(data, testutil::ShardedOptions(4, 2));
   const Point2 q{400.0, 600.0};
   CknnAnswer expected =
       sequential.ExecuteKnn(q, 50, opt.params, opt.integration);
@@ -192,7 +186,7 @@ TEST(Knn2DTest, Knn2DWithoutDatasetThrows) {
   QueryEngine engine(data1d, EngineOptions{1});
   EXPECT_THROW(engine.Execute(Knn2DQuery{{0.0, 0.0}, 2, TestOptions()}),
                std::exception);
-  ShardedQueryEngine sharded(data1d, ShardedEngineOptions{});
+  QueryEngine sharded(data1d, testutil::ShardedOptions(2, 2));
   EXPECT_THROW(sharded.Execute(Knn2DQuery{{0.0, 0.0}, 2, TestOptions()}),
                std::exception);
 }
@@ -204,7 +198,7 @@ TEST(Knn2DTest, EmptyDataset2DAnswersEmpty) {
   ASSERT_TRUE(result.knn.has_value());
   EXPECT_TRUE(result.knn->bounds.empty());
 
-  ShardedQueryEngine sharded(Dataset2D{}, ShardedEngineOptions{});
+  QueryEngine sharded(Dataset2D{}, testutil::ShardedOptions(2, 2));
   QueryResult sharded_result =
       sharded.Execute(Knn2DQuery{{1.0, 2.0}, 3, TestOptions()});
   EXPECT_TRUE(sharded_result.ids.empty());

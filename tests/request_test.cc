@@ -13,7 +13,6 @@
 
 #include "datagen/synthetic.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 
 namespace pverify {
 namespace {
@@ -100,13 +99,16 @@ TEST(QueryRequestTest, MovingTransfersThePayloadExactlyOnce) {
   EXPECT_THROW(original.TakeCandidates(), std::logic_error);
 }
 
-// Re-submission of a consumed CandidatesQuery is rejected by BOTH engine
-// implementations, in every build type (the engine_test covers the
+// Re-submission of a consumed CandidatesQuery is rejected at one and at two
+// shards, in every build type (the engine_test covers the
 // unsharded serial/batch paths in more detail).
 TEST(QueryRequestTest, BothEnginesRejectConsumedCandidatesRequests) {
   Dataset data = datagen::MakeUniformScatter(120, 100.0, 2.0, /*seed=*/5);
   QueryEngine unsharded(data, EngineOptions{1});
-  ShardedQueryEngine sharded(data, ShardedEngineOptions{2, nullptr, 2});
+  EngineOptions sharded_options;
+  sharded_options.num_shards = 2;
+  sharded_options.num_threads = 2;
+  QueryEngine sharded(data, sharded_options);
   QueryOptions opt = TestOptions();
   const double q = 50.0;
 

@@ -1,18 +1,24 @@
-// Engine-grade tests for the sharded scatter/gather engine: bit-identical
-// equivalence with the unsharded QueryEngine across shard counts, sharding
-// policies and every QueryKind, plus bounds-pruning, batch-stats and async
-// Submit behavior on the sharded path.
-#include "engine/sharded_engine.h"
+// Engine-grade tests for the scatter/gather path of QueryEngine:
+// bit-identical equivalence with the one-shard engine across shard counts,
+// sharding policies and every QueryKind, plus bounds-pruning, the
+// single-shard exit, batch-stats and async Submit behavior on the sharded
+// path.
+#include "engine/query_engine.h"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "differential_testutil.h"
@@ -107,15 +113,13 @@ TEST(ShardedEngineTest, AllKindsBitIdenticalAcrossShardCountsAndPolicies) {
 
     // The sharded variants: 1/2/4-way under both sharding policies. All
     // must answer bit-identically to the unsharded reference.
-    std::vector<std::unique_ptr<ShardedQueryEngine>> variants;
+    std::vector<std::unique_ptr<QueryEngine>> variants;
     std::vector<testutil::NamedEngine> named;
     for (size_t shards : {1u, 2u, 4u}) {
       for (const char* policy : {"hash", "range"}) {
-        ShardedEngineOptions sopt;
-        sopt.num_shards = shards;
-        sopt.policy = MakePolicy(policy, data);
-        sopt.num_threads = 2;
-        variants.push_back(std::make_unique<ShardedQueryEngine>(data, sopt));
+        variants.push_back(std::make_unique<QueryEngine>(
+            data,
+            testutil::ShardedOptions(shards, 2, MakePolicy(policy, data))));
         ASSERT_EQ(variants.back()->num_shards(), shards);
         named.push_back({"dataset " + std::to_string(d) + " shards " +
                              std::to_string(shards) + " policy " + policy,
@@ -129,10 +133,7 @@ TEST(ShardedEngineTest, AllKindsBitIdenticalAcrossShardCountsAndPolicies) {
 TEST(ShardedEngineTest, FourShardSingleExecuteMatchesEveryStrategy) {
   Dataset data = datagen::MakeUniformScatter(300, 250.0, 2.0, /*seed=*/5);
   QueryEngine reference(data, EngineOptions{1});
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 4;
-  sopt.num_threads = 4;
-  ShardedQueryEngine sharded(data, sopt);
+  QueryEngine sharded(data, testutil::ShardedOptions(4, 4));
 
   for (Strategy strategy : {Strategy::kBasic, Strategy::kRefine,
                             Strategy::kVR, Strategy::kMonteCarlo}) {
@@ -157,11 +158,8 @@ TEST(ShardedEngineTest, RangeShardingPrunesDistantShards) {
   config.seed = 9;
   Dataset data = datagen::MakeSynthetic(config);
 
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 8;
-  sopt.policy = MakePolicy("range", data);
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
+  QueryEngine sharded(
+      data, testutil::ShardedOptions(8, 2, MakePolicy("range", data)));
 
   QueryEngine reference(data, EngineOptions{1});
   const QueryOptions opt = OptionsFor(Strategy::kVR);
@@ -176,12 +174,156 @@ TEST(ShardedEngineTest, RangeShardingPrunesDistantShards) {
   EXPECT_LT(sharded.ShardVisits(), 6u * sharded.num_shards());
 }
 
+// Eight tight clusters, one in the middle of each eighth of [0, 10000]:
+// range sharding over [0, 10000] at 8 shards puts each cluster in its own
+// shard, with wide gaps between the shards' bounds.
+Dataset StripeClusteredDataset() {
+  Rng rng(5);
+  Dataset data;
+  ObjectId id = 0;
+  for (int c = 0; c < 8; ++c) {
+    const double center = 625.0 + 1250.0 * c;
+    for (int i = 0; i < 50; ++i) {
+      const double lo = center + rng.Uniform(-250.0, 250.0);
+      data.emplace_back(id++, MakeUniformPdf(lo, lo + rng.Uniform(1.0, 8.0)));
+    }
+  }
+  return data;
+}
+
+// Replicates the engine's phase 0 from its public bounds: the shards whose
+// bounds MINDIST is within the cap that the shards nearest q (by bounds
+// MAXDIST) reach once they cover k objects.
+size_t EligibleShards(const QueryEngine& engine, double q, size_t k) {
+  std::vector<std::pair<double, size_t>> caps;
+  for (size_t s = 0; s < engine.num_shards(); ++s) {
+    const DomainBounds& b = engine.shard_bounds(s);
+    if (!b.empty()) caps.emplace_back(IntervalMaxDistToBounds(q, b), s);
+  }
+  std::sort(caps.begin(), caps.end());
+  double cap = std::numeric_limits<double>::infinity();
+  size_t covered = 0;
+  for (const std::pair<double, size_t>& c : caps) {
+    covered += engine.executor(c.second).dataset().size();
+    if (covered >= k) {
+      cap = c.first;
+      break;
+    }
+  }
+  size_t eligible = 0;
+  for (size_t s = 0; s < engine.num_shards(); ++s) {
+    const DomainBounds& b = engine.shard_bounds(s);
+    if (!b.empty() &&
+        IntervalMinDistToBounds(q, b) <= cap + kFilterBoundarySlack) {
+      ++eligible;
+    }
+  }
+  return eligible;
+}
+
+void ExpectSameKnn(const CknnAnswer& expected, const QueryResult& got,
+                   const std::string& what) {
+  ASSERT_TRUE(got.knn.has_value()) << what;
+  EXPECT_EQ(expected.ids, got.ids) << what;
+  EXPECT_EQ(expected.ids, got.knn->ids) << what;
+  ASSERT_EQ(expected.bounds.size(), got.knn->bounds.size()) << what;
+  for (size_t i = 0; i < expected.bounds.size(); ++i) {
+    EXPECT_EQ(expected.bounds[i].lower, got.knn->bounds[i].lower) << what;
+    EXPECT_EQ(expected.bounds[i].upper, got.knn->bounds[i].upper) << what;
+  }
+}
+
+// The single-shard exit: queries that phase 0 leaves with exactly one
+// eligible shard skip the scatter and run that shard's executor. Answers
+// must be bit-identical to the one-shard engine and to the bare executor,
+// each such query counts one visit and prunes every other shard, and no
+// serial Execute starts the pool (a scatter would).
+TEST(ShardedEngineTest, SingleEligibleShardExitMatchesOneShardAndExecutor) {
+  const Dataset data = StripeClusteredDataset();
+  const auto stripes =
+      std::make_shared<const RangeShardingPolicy>(0.0, 10000.0);
+  QueryEngine sharded(data, testutil::ShardedOptions(8, 2, stripes));
+  QueryEngine one_shard(data, EngineOptions{2});
+  const CpnnExecutor executor(data);
+  const QueryOptions opt = OptionsFor(Strategy::kVR);
+  constexpr int kK = 3;
+
+  double domain_lo = data.front().lo();
+  double domain_hi = data.front().hi();
+  for (const UncertainObject& obj : data) {
+    domain_lo = std::min(domain_lo, obj.lo());
+    domain_hi = std::max(domain_hi, obj.hi());
+  }
+  ASSERT_EQ(EligibleShards(sharded, domain_lo - 1.0, 1), 1u);
+  ASSERT_EQ(EligibleShards(sharded, domain_hi + 1.0, 1), 1u);
+  const size_t threads = testutil::ThreadsInProcess();
+
+  // Runs one request on the 8-shard engine and checks it took the exit.
+  auto run = [&](auto request) {
+    const size_t visits0 = sharded.ShardVisits();
+    const size_t pruned0 = sharded.ShardsPruned();
+    QueryResult result = sharded.Execute(std::move(request));
+    EXPECT_EQ(sharded.ShardVisits() - visits0, 1u);
+    EXPECT_EQ(sharded.ShardsPruned() - pruned0, 7u);
+    EXPECT_EQ(result.stats.dataset_size, data.size());
+    return result;
+  };
+
+  QueryResult min = run(MinQuery{opt});
+  ExpectIdenticalResult(ToQueryResult(executor.ExecuteMin(opt)), min,
+                        "min vs executor");
+  ExpectIdenticalResult(one_shard.Execute(MinQuery{opt}), min, "min");
+  QueryResult max = run(MaxQuery{opt});
+  ExpectIdenticalResult(ToQueryResult(executor.ExecuteMax(opt)), max,
+                        "max vs executor");
+  ExpectIdenticalResult(one_shard.Execute(MaxQuery{opt}), max, "max");
+
+  for (int c = 0; c < 8; ++c) {
+    const double q = 625.0 + 1250.0 * c;
+    const std::string what = "cluster " + std::to_string(c);
+    ASSERT_EQ(EligibleShards(sharded, q, 1), 1u) << what;
+    ASSERT_EQ(EligibleShards(sharded, q, kK), 1u) << what;
+
+    QueryResult point = run(PointQuery{q, opt});
+    EXPECT_GT(point.stats.candidates, 0u) << what;
+    ExpectIdenticalResult(ToQueryResult(executor.Execute(q, opt)), point,
+                          what + " point");
+    ExpectIdenticalResult(one_shard.Execute(PointQuery{q, opt}), point,
+                          what + " point");
+
+    QueryResult knn = run(KnnQuery{q, kK, opt});
+    ExpectSameKnn(executor.ExecuteKnn(q, kK, opt.params, opt.integration),
+                  knn, what + " knn");
+    ExpectIdenticalResult(one_shard.Execute(KnnQuery{q, kK, opt}), knn,
+                          what + " knn");
+  }
+  EXPECT_EQ(testutil::ThreadsInProcess(), threads);
+  // Both engines ran the same request sequence through their serial
+  // scratch, and the exit runs the same executor code on the same
+  // candidates, so the scratches grew alike. A scatter would build its
+  // candidates outside the scratch arena and leave it smaller.
+  EXPECT_EQ(sharded.ScratchBytes(), one_shard.ScratchBytes());
+}
+
+// Construction starts no thread at any shard count: the pool starts on the
+// first batch, Submit or multi-shard scatter.
+TEST(ShardedEngineTest, ConstructionStartsNoThread) {
+  const Dataset data = datagen::MakeUniformScatter(400, 250.0, 2.0, 3);
+  for (size_t shards : {1u, 4u}) {
+    const size_t before = testutil::ThreadsInProcess();
+    QueryEngine engine(data, testutil::ShardedOptions(shards, 2));
+    EXPECT_EQ(testutil::ThreadsInProcess(), before) << shards << " shards";
+    // The probe sees the pool once a batch starts it.
+    std::vector<QueryRequest> batch;
+    batch.push_back(PointQuery{100.0, OptionsFor(Strategy::kVR)});
+    engine.ExecuteBatch(std::move(batch));
+    EXPECT_EQ(testutil::ThreadsInProcess(), before + 2) << shards << " shards";
+  }
+}
+
 TEST(ShardedEngineTest, ShardedBatchStatsSumAcrossShards) {
   Dataset data = datagen::MakeUniformScatter(300, 250.0, 2.0, /*seed=*/8);
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 4;
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
+  QueryEngine sharded(data, testutil::ShardedOptions(4, 2));
 
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   std::vector<QueryRequest> batch;
@@ -225,10 +367,7 @@ TEST(ShardedEngineTest, ShardedBatchStatsSumAcrossShards) {
 TEST(ShardedEngineTest, AsyncSubmitMatchesReferenceUnderConcurrency) {
   Dataset data = datagen::MakeUniformScatter(200, 250.0, 2.0, /*seed=*/12);
   QueryEngine reference(data, EngineOptions{1});
-  ShardedEngineOptions sopt;
-  sopt.num_shards = 4;
-  sopt.num_threads = 2;
-  ShardedQueryEngine sharded(data, sopt);
+  QueryEngine sharded(data, testutil::ShardedOptions(4, 2));
 
   const QueryOptions opt = OptionsFor(Strategy::kVR);
   const std::vector<double> points =
@@ -297,8 +436,8 @@ TEST(ShardedEngineTest, NestedScatterBitIdenticalToUnsharded) {
     });
   }
 
-  ShardedQueryEngine sharded(data, ShardedEngineOptions{4, nullptr, 4});
-  ASSERT_EQ(sharded.pool().size(), 4u);
+  QueryEngine sharded(data, testutil::ShardedOptions(4, 4));
+  ASSERT_EQ(sharded.num_threads(), 4u);
 
   // exercise_submit covers the dispatcher-coalesced batches, which run the
   // nested shard scatter too.
@@ -313,7 +452,7 @@ TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {
 
   // Empty dataset.
   {
-    ShardedQueryEngine sharded(Dataset{}, ShardedEngineOptions{4, nullptr, 2});
+    QueryEngine sharded(Dataset{}, testutil::ShardedOptions(4, 2));
     QueryEngine reference(Dataset{}, EngineOptions{1});
     // Requests are move-only, so each engine gets its own freshly built
     // payload rather than a copy.
@@ -330,7 +469,7 @@ TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {
   // More shards than objects: most shards are empty.
   {
     Dataset tiny = datagen::MakeUniformScatter(3, 50.0, 2.0, /*seed=*/2);
-    ShardedQueryEngine sharded(tiny, ShardedEngineOptions{8, nullptr, 2});
+    QueryEngine sharded(tiny, testutil::ShardedOptions(8, 2));
     QueryEngine reference(tiny, EngineOptions{1});
     for (double q : {0.0, 10.0, 25.0, 49.0}) {
       ExpectIdenticalResult(reference.Execute(PointQuery{q, opt}),
@@ -349,7 +488,7 @@ TEST(ShardedEngineTest, DegenerateShapesMatchUnsharded) {
   // Empty batch: stats stay zero and finite.
   {
     Dataset data = datagen::MakeUniformScatter(20, 50.0, 2.0, /*seed=*/6);
-    ShardedQueryEngine sharded(data, ShardedEngineOptions{2, nullptr, 2});
+    QueryEngine sharded(data, testutil::ShardedOptions(2, 2));
     ShardedBatchStats stats;
     EXPECT_TRUE(sharded.ExecuteBatch({}, &stats).empty());
     EXPECT_EQ(stats.gathered.queries, 0u);

@@ -17,7 +17,6 @@
 #include "datagen/synthetic.h"
 #include "datagen/workload.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 #include "ulp_testutil.h"
 
 namespace pverify {
@@ -143,8 +142,8 @@ TEST(SimdEquivalenceTest, AllStrategiesBothEnginesMatchScalarReference) {
     options.num_threads = 2;
     return options;
   }());
-  ShardedQueryEngine sharded(dataset, [] {
-    ShardedEngineOptions options;
+  QueryEngine sharded(dataset, [] {
+    EngineOptions options;
     options.num_shards = 3;
     options.num_threads = 2;
     return options;
@@ -162,7 +161,7 @@ TEST(SimdEquivalenceTest, AllStrategiesBothEnginesMatchScalarReference) {
                      strategy);
     ExpectEquivalent(RunBatch(sharded, points, options, false),
                      RunBatch(sharded, points, options, true),
-                     "ShardedQueryEngine", strategy);
+                     "3-shard QueryEngine", strategy);
   }
 }
 
@@ -195,8 +194,8 @@ TEST(SimdEquivalenceTest, KnnQueriesBothEnginesMatchScalarReference) {
     options.num_threads = 2;
     return options;
   }());
-  ShardedQueryEngine sharded(dataset, [] {
-    ShardedEngineOptions options;
+  QueryEngine sharded(dataset, [] {
+    EngineOptions options;
     options.num_shards = 3;
     options.num_threads = 2;
     return options;
@@ -211,7 +210,7 @@ TEST(SimdEquivalenceTest, KnnQueriesBothEnginesMatchScalarReference) {
                      "QueryEngine", Strategy::kBasic);
     ExpectEquivalent(RunKnnBatch(sharded, points, k, options, false),
                      RunKnnBatch(sharded, points, k, options, true),
-                     "ShardedQueryEngine", Strategy::kBasic);
+                     "3-shard QueryEngine", Strategy::kBasic);
   }
 }
 

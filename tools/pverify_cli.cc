@@ -9,7 +9,7 @@
 //   pverify_cli batch <dataset> <n> [threads] [P]   batched throughput run
 //
 // batch also understands flags (anywhere after the positionals):
-//   --shards=N         scatter/gather across N QueryEngine shards
+//   --shards=N         scatter/gather across N shards (default 1)
 //   --policy=hash|range  sharding policy (default hash)
 //   --async            drive the run through Submit() futures (coalesced)
 //   --cache=N          wrap the engine in a CachingEngine memoizing up to
@@ -38,7 +38,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,7 +52,6 @@
 #include "engine/caching_engine.h"
 #include "engine/engine.h"
 #include "engine/query_engine.h"
-#include "engine/sharded_engine.h"
 #include "net/client.h"
 #include "net/retry.h"
 
@@ -85,7 +83,7 @@ int Usage() {
 
 /// Options carried by the batch mode's --flags.
 struct BatchFlags {
-  size_t shards = 0;  ///< 0 = unsharded QueryEngine
+  size_t shards = 1;  ///< EngineOptions::num_shards
   std::string policy = "hash";
   bool async = false;
   int dim = 1;  ///< 2 = synthetic 2-D workload through kPoint2D
@@ -197,60 +195,54 @@ int ReportBatch(const bench::ThroughputPoint& seq,
   return 0;
 }
 
-// Builds the batch-mode engine from the --flags: the ONLY place the batch
-// modes distinguish sharded from unsharded. Everything downstream runs
-// against Engine&. The optional out-param hands back the concrete sharded
-// engine for its scatter telemetry. `range_policy` supplies the
-// dimensionality-specific range policy when --policy=range.
-std::unique_ptr<Engine> MakeBatchEngine(
-    const BatchFlags& flags, size_t threads,
-    const std::function<std::shared_ptr<const ShardingPolicy>()>&
-        range_policy,
-    const std::function<std::unique_ptr<QueryEngine>(EngineOptions)>&
-        unsharded,
-    const std::function<std::unique_ptr<ShardedQueryEngine>(
-        ShardedEngineOptions)>& sharded,
-    ShardedQueryEngine** sharded_out) {
-  *sharded_out = nullptr;
-  if (flags.shards == 0) {
-    EngineOptions eopt;
-    eopt.num_threads = threads;
-    return unsharded(eopt);
-  }
-  ShardedEngineOptions sopt;
-  sopt.num_shards = flags.shards;
-  sopt.num_threads = threads;  // 0 = hardware concurrency
-  if (flags.policy == "range") {
-    sopt.policy = range_policy();
-  } else if (flags.policy != "hash") {
-    std::fprintf(stderr, "error: unknown policy '%s'\n",
-                 flags.policy.c_str());
-    return nullptr;
-  }
-  std::unique_ptr<ShardedQueryEngine> engine = sharded(sopt);
-  *sharded_out = engine.get();
-  return engine;
+std::shared_ptr<const ShardingPolicy> RangePolicyFor(const Dataset& data) {
+  return std::make_shared<const RangeShardingPolicy>(
+      RangeShardingPolicy::ForDataset(data));
 }
 
-// Shared tail of the batch modes once the engine exists: timed batched (or
+std::shared_ptr<const ShardingPolicy> RangePolicyFor(const Dataset2D& data) {
+  return std::make_shared<const RangeShardingPolicy>(
+      RangeShardingPolicy::ForDataset2D(data));
+}
+
+// Shared tail of the local batch modes: builds the engine from the --flags
+// (wrapped in a CachingEngine with --cache), then a timed batched (or
 // async-streamed) run against the sequential baseline, sharded telemetry
-// when applicable, report. The engine is only ever touched as Engine&.
-template <typename Point>
-int RunBatchOnEngine(Engine& engine, ShardedQueryEngine* sharded,
-                     CachingEngine* cache,
+// when applicable, report. The run touches the engine only as Engine&.
+template <typename Data, typename Point>
+int RunBatchOnEngine(const Data& data, size_t threads,
                      const bench::ThroughputPoint& seq,
                      const std::vector<Point>& points,
                      const QueryOptions& opt, const BatchFlags& flags,
                      double threshold, double tolerance) {
+  EngineOptions eopt;
+  eopt.num_threads = threads;  // 0 = hardware concurrency
+  eopt.num_shards = flags.shards;
+  if (flags.policy == "range") {
+    eopt.policy = RangePolicyFor(data);
+  } else if (flags.policy != "hash") {
+    std::fprintf(stderr, "error: unknown policy '%s'\n",
+                 flags.policy.c_str());
+    return 2;
+  }
+  QueryEngine backend(data, eopt);
+  std::unique_ptr<CachingEngine> cache;
+  if (flags.cache > 0) {
+    CachingEngineOptions copt;
+    copt.capacity = flags.cache;
+    cache = std::make_unique<CachingEngine>(backend, copt);
+  }
+  Engine& engine = cache != nullptr ? static_cast<Engine&>(*cache) : backend;
+
   EngineStats stats;
   bench::ThroughputPoint batched =
       flags.async ? bench::TimeSubmitStream(engine, points, opt)
                   : bench::TimeBatch(engine, points, opt, &stats);
-  if (sharded != nullptr) {
+  if (backend.num_shards() > 1) {
     std::printf("# sharded: %zu shards (%s policy), %zu shard visits, "
                 "%zu pruned by bounds\n",
-                sharded->num_shards(), sharded->policy().name().data(),
-                sharded->ShardVisits(), sharded->ShardsPruned());
+                backend.num_shards(), backend.policy().name().data(),
+                backend.ShardVisits(), backend.ShardsPruned());
   }
   if (cache != nullptr) {
     // The first pass populated the memo; replay the same workload warm so
@@ -350,7 +342,7 @@ int RunRemoteBatch(const bench::ThroughputPoint& seq,
 
 // Batched throughput mode: random query points over the dataset's domain,
 // run once as a sequential loop and once through the multi-threaded engine
-// (unsharded or sharded, blocking batch or async Submit stream).
+// (one or N shards, blocking batch or async Submit stream).
 int RunBatch(const Dataset& data, size_t num_queries, size_t threads,
              double threshold, double tolerance, const BatchFlags& flags) {
   if (data.empty()) {
@@ -378,32 +370,8 @@ int RunBatch(const Dataset& data, size_t num_queries, size_t threads,
     return RunRemoteBatch(seq, points, opt, flags, threshold, tolerance);
   }
 
-  ShardedQueryEngine* sharded = nullptr;
-  std::unique_ptr<Engine> engine = MakeBatchEngine(
-      flags, threads,
-      [&] {
-        return std::make_shared<const RangeShardingPolicy>(
-            RangeShardingPolicy::ForDataset(data));
-      },
-      [&](EngineOptions eopt) {
-        return std::make_unique<QueryEngine>(data, eopt);
-      },
-      [&](ShardedEngineOptions sopt) {
-        return std::make_unique<ShardedQueryEngine>(data, sopt);
-      },
-      &sharded);
-  if (engine == nullptr) return 2;
-  CachingEngine* cache = nullptr;
-  if (flags.cache > 0) {
-    CachingEngineOptions copt;
-    copt.capacity = flags.cache;
-    std::unique_ptr<CachingEngine> wrapped =
-        MakeCachingEngine(std::move(engine), copt);
-    cache = wrapped.get();
-    engine = std::move(wrapped);
-  }
-  return RunBatchOnEngine(*engine, sharded, cache, seq, points, opt, flags,
-                          threshold, tolerance);
+  return RunBatchOnEngine(data, threads, seq, points, opt, flags, threshold,
+                          tolerance);
 }
 
 // 2-D batched throughput mode (--dim=2): synthesizes `count` uniform-pdf
@@ -430,32 +398,8 @@ int RunBatch2D(size_t count, size_t num_queries, size_t threads,
     return RunRemoteBatch(seq, points, opt, flags, threshold, tolerance);
   }
 
-  ShardedQueryEngine* sharded = nullptr;
-  std::unique_ptr<Engine> engine = MakeBatchEngine(
-      flags, threads,
-      [&] {
-        return std::make_shared<const RangeShardingPolicy>(
-            RangeShardingPolicy::ForDataset2D(data));
-      },
-      [&](EngineOptions eopt) {
-        return std::make_unique<QueryEngine>(data, eopt);
-      },
-      [&](ShardedEngineOptions sopt) {
-        return std::make_unique<ShardedQueryEngine>(data, sopt);
-      },
-      &sharded);
-  if (engine == nullptr) return 2;
-  CachingEngine* cache = nullptr;
-  if (flags.cache > 0) {
-    CachingEngineOptions copt;
-    copt.capacity = flags.cache;
-    std::unique_ptr<CachingEngine> wrapped =
-        MakeCachingEngine(std::move(engine), copt);
-    cache = wrapped.get();
-    engine = std::move(wrapped);
-  }
-  return RunBatchOnEngine(*engine, sharded, cache, seq, points, opt, flags,
-                          threshold, tolerance);
+  return RunBatchOnEngine(data, threads, seq, points, opt, flags, threshold,
+                          tolerance);
 }
 
 int RunStats(const Dataset& data) {
@@ -557,7 +501,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!flags.connect.empty() &&
-      (flags.shards != 0 || flags.async || flags.cache != 0 ||
+      (flags.shards != 1 || flags.async || flags.cache != 0 ||
        flags.policy != "hash")) {
     std::fprintf(stderr,
                  "error: --connect ships the batch to a server; the engine "
